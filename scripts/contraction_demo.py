@@ -17,7 +17,7 @@ from fedgame.analysis import (
 )
 from fedgame.core import AgentSpec, GameInstance, PaymentRule, strategy_gradient, \
     welfare_gradient
-from fedgame.dynamics import RunConfig, contraction_factor, iteration_bound_T0, upbred_run
+from fedgame.dynamics import RunConfig, contraction_factor, iteration_bound_T0, run_dynamic
 from fedgame.models import CostModel
 
 
@@ -89,8 +89,8 @@ def main():
     T0 = iteration_bound_T0(E0, args.eps, W)
     print(f"steps gamma={gamma:.4f} eta={eta:.4f}; predicted W={W:.6f}, T0={T0}")
 
-    trace = upbred_run(g, RunConfig(gamma=gamma, eta=eta, rounds=T0, eps=args.eps),
-                       w0, s0)
+    trace = run_dynamic(g, RunConfig(gamma=gamma, eta=eta, rounds=T0, eps=args.eps),
+                        "upbred", w0, s0)
     report = contraction_diagnostic([(r.g_norm, r.gt_norm, r.t) for r in trace.records])
     print(f"run: outcome={trace.outcome} rounds={trace.final.t} "
           f"observed max ratio={report.max_ratio:.6f} "

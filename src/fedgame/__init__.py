@@ -62,14 +62,10 @@ from .dynamics import (
     contraction_factor,
     corollary_bound,
     empirical_strategy_update,
-    fedavg_run,
-    fedavg_strategic_run,
     iteration_bound_T0,
     iteration_bounds_two_phase,
     predicted_phase1_rounds,
     run_dynamic,
-    two_phase_run,
-    upbred_run,
 )
 from .models import (
     CostModel,

@@ -19,8 +19,15 @@ import numpy as np
 
 from . import analysis, federation, scenarios, traceio
 from .config import BuiltScenario, build_scenario, parse_scenario
-from .core import ConfigError, FederationError, GameError, payment
-from .dynamics import run_dynamic
+from .core import ConfigError, GameError, strategy_gradient, welfare_gradient
+from .dynamics import (
+    contraction_factor,
+    corollary_bound,
+    iteration_bound_T0,
+    iteration_bounds_two_phase,
+    predicted_phase1_rounds,
+    run_dynamic,
+)
 from .models import QuadraticAccuracy
 
 EXIT_OK = 0
@@ -294,10 +301,6 @@ def cmd_bounds(args) -> int:
     region = analysis.feasible_steps(g.n, g.m, L, L_tilde, lam, lam_tilde, P, P_tilde)
     doc["feasible_steps"] = region.as_dict()
 
-    from .core import strategy_gradient, welfare_gradient
-    from .dynamics import contraction_factor, corollary_bound, iteration_bound_T0, \
-        iteration_bounds_two_phase
-
     E = float(
         np.linalg.norm(strategy_gradient(g, built.w0, built.s0))
         + np.linalg.norm(welfare_gradient(g, built.w0, built.s0))
@@ -330,16 +333,11 @@ def cmd_bounds(args) -> int:
         if nu is None or not 0.0 < nu <= M:
             raise ConfigError("need 0 < nu <= M")
         opt = analysis.compute_w_opt(g)
-        if g.payment.kind == "linear":
-            derivs = np.array([g.cost.deriv(i, g.agents[i].s_max) for i in range(g.n)])
-            if np.all(g.payment.beta - derivs > 0.0):
-                f0 = (opt.welfare - analysis.social_welfare(g, built.w0, g.s_max)) / g.n
-                kappa, t0 = iteration_bounds_two_phase(
-                    built.s0, g.s_max, g.payment.beta, derivs, cfg.gamma,
-                    f0, 0.0, cfg.eps, M, nu,
-                )
-                doc["kappa"] = kappa
-                doc["T0_two_phase"] = t0
+        if predicted_phase1_rounds(g, cfg, built.s0) is not None:
+            f0 = (opt.welfare - analysis.social_welfare(g, built.w0, g.s_max)) / g.n
+            doc["kappa"], doc["T0_two_phase"] = iteration_bounds_two_phase(
+                g, cfg, built.s0, f0, 0.0, M, nu
+            )
         doc["T0_corollary"] = corollary_bound(
             float(np.linalg.norm(built.w0 - opt.w_opt)), cfg.eps, M, nu
         )

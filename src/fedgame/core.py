@@ -9,6 +9,7 @@ welfare sums accuracies only, so transfers cancel out of the planner's view.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -192,37 +193,27 @@ def social_welfare(g: GameInstance, w: np.ndarray, s: np.ndarray) -> float:
     return total
 
 
-def raw_strategy_derivatives(g: GameInstance, w: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Uncorrected per-agent derivative of own utility in own contribution."""
-    s = _as_profile(s)
-    beta_term = g.payment.beta if g.payment.kind == "linear" else 0.0
-    out = np.empty(g.n, dtype=float)
-    for i in range(g.n):
-        out[i] = g.accuracy.dsi(i, w, s) - g.cost.deriv(i, float(s[i])) + beta_term
-    return out
+def strategy_derivative(g: GameInstance, i: int, w: np.ndarray, s: np.ndarray) -> float:
+    """Boundary-corrected derivative of agent i's utility in its own contribution.
 
-
-def mu_correct(raw: np.ndarray, s: np.ndarray, s_max: np.ndarray) -> np.ndarray:
-    """Zero derivative components that push outward at an active box bound."""
-    out = np.array(raw, dtype=float)
-    at_lo = np.abs(s) <= BOUND_TOL
-    at_hi = np.abs(s - s_max) <= BOUND_TOL
-    out[at_lo & (out < 0.0)] = 0.0
-    out[at_hi & (out > 0.0)] = 0.0
-    return out
+    d u_i / d s_i = d a_i / d s_i - c_i'(s_i) + beta, forced to zero when it
+    points out of the box (negative at s_i = 0 or positive at s_i = s_i_max).
+    """
+    s_i = float(s[i])
+    d = g.accuracy.dsi(i, w, s) - g.cost.deriv(i, s_i) + g.payment.beta
+    if not isfinite(d):
+        raise NumericError(f"non-finite strategy derivative for agent {i}")
+    if d < 0.0 and abs(s_i) <= BOUND_TOL:
+        return 0.0
+    if d > 0.0 and abs(s_i - g.agents[i].s_max) <= BOUND_TOL:
+        return 0.0
+    return d
 
 
 def strategy_gradient(g: GameInstance, w: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Boundary-corrected strategy update direction, one entry per agent.
-
-    Component i is d u_i / d s_i, forced to zero when it points out of the
-    box (negative at s_i = 0 or positive at s_i = s_i_max).
-    """
-    raw = raw_strategy_derivatives(g, w, s)
-    if not np.all(np.isfinite(raw)):
-        bad = int(np.flatnonzero(~np.isfinite(raw))[0])
-        raise NumericError(f"non-finite strategy derivative for agent {bad}")
-    return mu_correct(raw, _as_profile(s), g.s_max)
+    """Boundary-corrected strategy update direction, one entry per agent."""
+    s = _as_profile(s)
+    return np.array([strategy_derivative(g, i, w, s) for i in range(g.n)], dtype=float)
 
 
 def welfare_gradient(g: GameInstance, w: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -1,24 +1,30 @@
-"""Simultaneous and two-phase contribution dynamics.
+"""Contribution dynamics, each run as a schedule of phases by one round loop.
 
-Four dynamics share the same per-round agent computation (AgentWorker):
+A dynamic is a list of Phase stages.  Every round the loop records the state
+(w, s) at its start, asks the agents for their step and moves s, w or both
+with their replies.  A stage says which of the two it moves, what ends it and
+how many updates it may take.  The four dynamics in ALGORITHMS:
 
-* upbred_run: agents ascend their boundary-corrected utility derivative while
-  the center ascends mean accuracy, both every round.
-* two_phase_run: contributions are driven to the box ceiling first (model
-  frozen), then the center trains on full contributions.
-* fedavg_run: mechanism-free baseline, contributions pinned at the ceiling.
-* fedavg_strategic_run: contribution loop at the frozen start model until no
-  agent gains by moving, then training with contributions frozen.
+* upbred: a single stage in which agents ascend their boundary-corrected
+  utility derivative while the center ascends mean accuracy, until both
+  directions fall below eps in norm.
+* 2p-upbred: contributions climb to the box ceiling at the frozen start
+  model, then the center trains on full contributions.
+* fedavg-strategic: contributions move at the frozen start model until no
+  agent gains by moving, then the center trains with them frozen.
+* fedavg: mechanism-free baseline; the center trains with contributions
+  pinned at the ceiling and transfers removed.
 
-A pool object hides where agents live; LocalPool calls workers in process,
-the federation module supplies a transport-backed drop-in.
+All of them share the per-round agent computation (AgentWorker).  A pool
+object hides where agents live; LocalPool calls workers in process, the
+federation module supplies a transport-backed drop-in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from math import ceil, log, sqrt
-from typing import Sequence
+from dataclasses import dataclass, replace
+from math import ceil, isfinite, log, sqrt
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,8 +38,8 @@ from .core import (
     PaymentRule,
     UtilityReport,
     clamp_profile,
-    payment_vector,
     social_welfare,
+    strategy_derivative,
     strategy_gradient,
     utility,
     welfare_gradient,
@@ -133,43 +139,27 @@ class AgentWorker:
         self.i = agent_id
         self.cfg = cfg
         self._prev_s: float | None = None
-        self._last_quotient: float | None = None
+        self._last_quotient = 0.0
 
     def _analytic_step(self, w: np.ndarray, s: np.ndarray) -> float:
-        g = self.game
-        i = self.i
-        s_i = float(s[i])
-        s_hi = g.agents[i].s_max
-        beta_term = g.payment.beta if g.payment.kind == "linear" else 0.0
-        raw = g.accuracy.dsi(i, w, s) - g.cost.deriv(i, s_i) + beta_term
-        if not np.isfinite(raw):
-            raise NumericError(f"non-finite strategy derivative for agent {i}")
-        if abs(s_i) <= BOUND_TOL and raw < 0.0:
-            raw = 0.0
-        elif abs(s_i - s_hi) <= BOUND_TOL and raw > 0.0:
-            raw = 0.0
-        return float(min(max(s_i + self.cfg.gamma * raw, 0.0), s_hi))
+        d = strategy_derivative(self.game, self.i, w, s)
+        s_hi = self.game.agents[self.i].s_max
+        return float(min(max(float(s[self.i]) + self.cfg.gamma * d, 0.0), s_hi))
 
     def _empirical_step(self, w: np.ndarray, s: np.ndarray) -> float:
         g = self.game
         i = self.i
         s_i = float(s[i])
-        s_hi = g.agents[i].s_max
         loss_before = g.accuracy.test_loss(i, w)
-        local = g.accuracy.local_training_step(i, w, s_i, self.cfg.learn_rate)
-        loss_after = g.accuracy.test_loss(i, local.w)
-        if self._prev_s is None or abs(s_i - self._prev_s) < QUOTIENT_DS_MIN:
-            quotient = self._last_quotient if self._last_quotient is not None else 0.0
-        else:
-            quotient = (loss_after - loss_before) / (s_i - self._prev_s)
-        if np.isfinite(quotient):
-            self._last_quotient = quotient
-        else:
-            quotient = self._last_quotient if self._last_quotient is not None else 0.0
-        beta_term = g.payment.beta if g.payment.kind == "linear" else 0.0
-        nxt = s_i - quotient - g.cost.deriv(i, s_i) + beta_term
+        trained = g.accuracy.local_training_step(i, w, s_i, self.cfg.learn_rate)
+        # no previous contribution yet: a zero step makes the quotient fall back
+        s_prev = s_i if self._prev_s is None else self._prev_s
+        nxt, self._last_quotient = empirical_strategy_update(
+            s_prev, s_i, loss_before, g.accuracy.test_loss(i, trained),
+            g.cost.deriv(i, s_i), g.payment.beta, g.agents[i].s_max, self._last_quotient,
+        )
         self._prev_s = s_i
-        return float(min(max(nxt, 0.0), s_hi))
+        return float(nxt)
 
     def _local_gradient(self, w: np.ndarray, s: np.ndarray) -> np.ndarray:
         d = np.asarray(self.game.accuracy.grad_w(self.i, w, s), dtype=float)
@@ -247,12 +237,6 @@ def _round_record(
     )
 
 
-def _trace_instance(g: GameInstance) -> dict:
-    info = game_manifest(g)
-    info["digest"] = instance_digest(g)
-    return info
-
-
 def _init_state(
     g: GameInstance, w0: np.ndarray | None, s0: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -269,230 +253,141 @@ def _init_state(
     return w, clamp_profile(s, g)
 
 
-def _state_finite(w: np.ndarray, s: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(w)) and np.all(np.isfinite(s)))
-
-
 def predicted_phase1_rounds(
     g: GameInstance, cfg: RunConfig, s0: np.ndarray
 ) -> int | None:
-    """Worst-case round count for the contribution phase, when defined."""
-    if g.payment.kind != "linear":
-        return None
-    derivs = np.array([g.cost.deriv(i, g.agents[i].s_max) for i in range(g.n)])
-    deltas = g.payment.beta - derivs
-    if np.any(deltas <= 0.0):
-        return None
-    gaps = g.s_max - np.asarray(s0, dtype=float)
-    return int(max(_ceil_guarded(gap / (cfg.gamma * d)) for gap, d in zip(gaps, deltas)))
+    """Phase-one round bound kappa from profile s0, or None when undefined.
 
-
-def _phase1_cap(g: GameInstance, cfg: RunConfig, s0: np.ndarray) -> int:
-    if cfg.phase1_cap is not None:
-        return cfg.phase1_cap
-    kappa = predicted_phase1_rounds(g, cfg, s0)
-    if kappa is not None:
-        return max(10 * kappa, 1)
-    return 100_000
-
-
-def upbred_run(
-    g: GameInstance,
-    cfg: RunConfig,
-    w0: np.ndarray | None = None,
-    s0: np.ndarray | None = None,
-    pool=None,
-) -> Trace:
-    """Simultaneous contribution/training updates until both update
-    directions fall below eps in norm, or the round budget runs out."""
-    w, s = _init_state(g, w0, s0)
-    pool = pool if pool is not None else LocalPool(g, cfg)
-    records: list[RoundRecord] = []
-    outcome, err = "MaxRounds", None
-    t = 0
-    try:
-        while True:
-            rec = _round_record(g, t, "single", w, s)
-            records.append(rec)
-            if rec.g_norm < cfg.eps and rec.gt_norm < cfg.eps:
-                outcome = "Converged"
-                break
-            if t >= cfg.rounds:
-                outcome = "MaxRounds"
-                break
-            replies = pool.step(t, "single", w, s)
-            s_new = _next_profile(g, replies)
-            w_new = _aggregate_w(g, cfg, w, replies)
-            if not _state_finite(w_new, s_new):
-                raise NumericError("non-finite joint state")
-            s, w = s_new, w_new
-            t += 1
-    except (NumericError, ModelEvalError, FederationError) as exc:
-        outcome, err = "Error", f"round {t}: {exc}"
-    return Trace(cfg, _trace_instance(g), records, outcome, err)
-
-
-def _training_phase(
-    g: GameInstance,
-    cfg: RunConfig,
-    pool,
-    records: list[RoundRecord],
-    t: int,
-    w: np.ndarray,
-    s: np.ndarray,
-) -> tuple[str, str | None]:
-    """Shared gradient-ascent tail: w moves, s stays fixed."""
-    updates = 0
-    try:
-        while True:
-            rec = _round_record(g, t, "2", w, s)
-            records.append(rec)
-            if rec.gt_norm < cfg.eps:
-                return "Converged", None
-            if updates >= cfg.rounds:
-                return "MaxRounds", None
-            replies = pool.step(t, "2", w, s)
-            w_new = _aggregate_w(g, cfg, w, replies)
-            if not _state_finite(w_new, s):
-                raise NumericError("non-finite model parameters")
-            w = w_new
-            t += 1
-            updates += 1
-    except (NumericError, ModelEvalError, FederationError) as exc:
-        return "Error", f"round {t}: {exc}"
-
-
-def two_phase_run(
-    g: GameInstance,
-    cfg: RunConfig,
-    w0: np.ndarray | None = None,
-    s0: np.ndarray | None = None,
-    pool=None,
-    strict: bool = True,
-) -> Trace:
-    """Drive contributions to the ceiling at a frozen model, then train.
-
-    Requires a linear transfer rule.  With strict=True the transfer level
-    must exceed every agent's marginal cost at the ceiling, which guarantees
-    the first phase finishes; strict=False allows exploratory sub-threshold
-    runs, which end with an Error outcome when the cap is hit.
+    kappa = max_i ceil((s_max_i - s0_i) / (gamma * (beta - c_i'(s_max_i)))),
+    the number of steps of size gamma times the worst-case margin each agent
+    needs.  It is defined for a linear transfer rule whose level beta exceeds
+    every agent's marginal cost at the ceiling.
     """
     if g.payment.kind != "linear":
-        raise ConfigError("two-phase dynamic requires a linear transfer rule")
-    zeta = g.cost.max_deriv(g.s_max)
-    if strict and g.payment.beta <= zeta:
-        raise ConfigError(
-            f"two-phase precondition failed: beta={g.payment.beta} must exceed "
-            f"the largest marginal cost at the ceiling ({zeta})"
-        )
-    w, s = _init_state(g, w0, s0)
-    pool = pool if pool is not None else LocalPool(g, cfg)
-    cap = _phase1_cap(g, cfg, s)
-    records: list[RoundRecord] = []
-    outcome, err = "MaxRounds", None
-    t = 0
-    try:
-        updates = 0
-        while True:
+        return None
+    margins = g.payment.beta - np.array([g.cost.deriv(i, a.s_max) for i, a in enumerate(g.agents)])
+    if np.any(margins <= 0.0):
+        return None
+    gaps = np.maximum(g.s_max - np.asarray(s0, dtype=float), 0.0)
+    return int(max(_ceil_guarded(gap / (cfg.gamma * d)) for gap, d in zip(gaps, margins)))
+
+
+@dataclass(frozen=True)
+class Phase:
+    """One stage of a dynamic: what it moves, what ends it, how long it runs.
+
+    label is the phase recorded in the trace; sent is the phase the agents
+    are asked to compute, which also fixes what moves: agents answer "1"
+    with a contribution, "2" with a gradient and "single" with both.  Each
+    round of the stage, in this order:
+
+    * handover(w, s), when set, runs before the round is recorded.  A profile
+      it returns ends the stage; the next stage starts from that profile at
+      the same round t, so that round is recorded under the next label.
+    * converged(record), when set, ends the stage as Converged.
+    * Once cap updates are done the stage ends as MaxRounds, or, when
+      lagging is set, the run fails with a cap error whose tail is
+      lagging(w, s), naming the agent that kept the stage going.
+
+    The run's outcome is how its last stage ended.
+    """
+
+    label: str
+    sent: str
+    cap: int
+    handover: Callable[[np.ndarray, np.ndarray], np.ndarray | None] | None = None
+    converged: Callable[[RoundRecord], bool] | None = None
+    lagging: Callable[[np.ndarray, np.ndarray], str] | None = None
+
+
+_NON_FINITE = {
+    "single": "non-finite joint state",
+    "1": "non-finite contribution profile",
+    "2": "non-finite model parameters",
+}
+
+
+def _schedule(g: GameInstance, cfg: RunConfig, algorithm: str, s0: np.ndarray) -> list[Phase]:
+    """The stages of `algorithm` on game g, starting from profile s0."""
+    eps = cfg.eps
+    if algorithm == "upbred":
+        return [
+            Phase("single", "single", cfg.rounds,
+                  converged=lambda rec: rec.g_norm < eps and rec.gt_norm < eps)
+        ]
+    training = Phase("2", "2", cfg.rounds, converged=lambda rec: rec.gt_norm < eps)
+    if algorithm == "fedavg":
+        return [replace(training, label="single")]
+
+    if algorithm == "2p-upbred":
+        def handover(w, s):
+            # snap exactly onto the ceiling once within tolerance
+            return g.s_max if float(np.max(g.s_max - s)) <= cfg.eps_s else None
+
+        def lagging(w, s):
             gaps = g.s_max - s
-            if float(np.max(gaps)) <= cfg.eps_s:
-                s = g.s_max  # snap exactly once within tolerance
-                break
-            records.append(_round_record(g, t, "1", w, s))
-            if updates >= cap:
-                lagger = int(np.argmax(gaps))
-                raise NumericError(
-                    f"contribution phase exceeded its cap of {cap} rounds; "
-                    f"agent {lagger} is not increasing (gap {gaps[lagger]:.6g})"
-                )
-            replies = pool.step(t, "1", w, s)
-            s = _next_profile(g, replies)
-            if not _state_finite(w, s):
-                raise NumericError("non-finite contribution profile")
-            t += 1
-            updates += 1
-        outcome, err = _training_phase(g, cfg, pool, records, t, w, s)
-    except (NumericError, ModelEvalError, FederationError) as exc:
-        outcome, err = "Error", f"round {t}: {exc}"
-    return Trace(cfg, _trace_instance(g), records, outcome, err)
+            k = int(np.argmax(gaps))
+            return f"agent {k} is not increasing (gap {gaps[k]:.6g})"
 
+    else:  # fedavg-strategic: stop once no agent has a positive derivative
+        def handover(w, s):
+            return s if float(np.max(strategy_gradient(g, w, s))) <= eps else None
 
-def fedavg_run(
-    g: GameInstance,
-    cfg: RunConfig,
-    w0: np.ndarray | None = None,
-    pool=None,
-) -> Trace:
-    """Mechanism-free baseline: contributions pinned at the ceiling."""
-    g_free = replace(g, payment=PaymentRule.none())
-    w, _ = _init_state(g_free, w0, None)
-    s = g_free.s_max
-    pool = pool if pool is not None else LocalPool(g_free, cfg)
-    records: list[RoundRecord] = []
-    outcome, err = "MaxRounds", None
-    t = 0
-    try:
-        updates = 0
-        while True:
-            rec = _round_record(g_free, t, "single", w, s)
-            records.append(rec)
-            if rec.gt_norm < cfg.eps:
-                outcome = "Converged"
-                break
-            if updates >= cfg.rounds:
-                outcome = "MaxRounds"
-                break
-            replies = pool.step(t, "2", w, s)
-            w_new = _aggregate_w(g_free, cfg, w, replies)
-            if not _state_finite(w_new, s):
-                raise NumericError("non-finite model parameters")
-            w = w_new
-            t += 1
-            updates += 1
-    except (NumericError, ModelEvalError, FederationError) as exc:
-        outcome, err = "Error", f"round {t}: {exc}"
-    return Trace(cfg, _trace_instance(g_free), records, outcome, err)
-
-
-def fedavg_strategic_run(
-    g: GameInstance,
-    cfg: RunConfig,
-    w0: np.ndarray | None = None,
-    s0: np.ndarray | None = None,
-    pool=None,
-) -> Trace:
-    """Contribution loop at the frozen start model until no agent still has a
-    strictly positive corrected derivative, then training with contributions
-    frozen at the phase-one outcome."""
-    w, s = _init_state(g, w0, s0)
-    pool = pool if pool is not None else LocalPool(g, cfg)
-    cap = _phase1_cap(g, cfg, s)
-    records: list[RoundRecord] = []
-    outcome, err = "MaxRounds", None
-    t = 0
-    try:
-        updates = 0
-        while True:
+        def lagging(w, s):
             gv = strategy_gradient(g, w, s)
-            if float(np.max(gv)) <= cfg.eps:
-                break
-            records.append(_round_record(g, t, "1", w, s))
-            if updates >= cap:
-                pusher = int(np.argmax(gv))
-                raise NumericError(
-                    f"contribution phase exceeded its cap of {cap} rounds; "
-                    f"agent {pusher} still improving (derivative {gv[pusher]:.6g})"
-                )
-            replies = pool.step(t, "1", w, s)
-            s = _next_profile(g, replies)
-            if not _state_finite(w, s):
-                raise NumericError("non-finite contribution profile")
-            t += 1
-            updates += 1
-        outcome, err = _training_phase(g, cfg, pool, records, t, w, s)
+            k = int(np.argmax(gv))
+            return f"agent {k} still improving (derivative {gv[k]:.6g})"
+
+    cap = cfg.phase1_cap
+    if cap is None:
+        kappa = predicted_phase1_rounds(g, cfg, s0)
+        cap = 100_000 if kappa is None else max(10 * kappa, 1)
+    contribution = Phase("1", "1", cap, handover=handover, lagging=lagging)
+    return [contribution, training]
+
+
+def _run_phases(
+    g: GameInstance, cfg: RunConfig, phases: Sequence[Phase], w: np.ndarray, s: np.ndarray, pool
+) -> Trace:
+    """The one round loop.  t counts rounds across stages; a stage's cap
+    counts only the updates made within it."""
+    records: list[RoundRecord] = []
+    outcome, err = "MaxRounds", None
+    t = 0
+    try:
+        for ph in phases:
+            outcome, updates = "MaxRounds", 0
+            while True:
+                if ph.handover is not None:
+                    s_next = ph.handover(w, s)
+                    if s_next is not None:
+                        s = s_next
+                        break
+                rec = _round_record(g, t, ph.label, w, s)
+                records.append(rec)
+                if ph.converged is not None and ph.converged(rec):
+                    outcome = "Converged"
+                    break
+                if updates >= ph.cap:
+                    if ph.lagging is None:
+                        break
+                    raise NumericError(
+                        f"contribution phase exceeded its cap of {ph.cap} rounds; "
+                        f"{ph.lagging(w, s)}"
+                    )
+                replies = pool.step(t, ph.sent, w, s)
+                if ph.sent != "2":
+                    s = _next_profile(g, replies)
+                if ph.sent != "1":
+                    w = _aggregate_w(g, cfg, w, replies)
+                if not (np.all(np.isfinite(w)) and np.all(np.isfinite(s))):
+                    raise NumericError(_NON_FINITE[ph.sent])
+                t += 1
+                updates += 1
     except (NumericError, ModelEvalError, FederationError) as exc:
         outcome, err = "Error", f"round {t}: {exc}"
-    return Trace(cfg, _trace_instance(g), records, outcome, err)
+    instance = {**game_manifest(g), "digest": instance_digest(g)}
+    return Trace(cfg, instance, records, outcome, err)
 
 
 def run_dynamic(
@@ -504,48 +399,59 @@ def run_dynamic(
     pool=None,
     strict: bool = True,
 ) -> Trace:
-    """Dispatch by algorithm name; see ALGORITHMS."""
-    if algorithm == "upbred":
-        return upbred_run(g, cfg, w0, s0, pool=pool)
+    """Run one of ALGORITHMS from (w0, s0) and return its trace.
+
+    2p-upbred requires a linear transfer rule.  With strict=True the transfer
+    level must exceed every agent's marginal cost at the ceiling, which
+    guarantees the first phase finishes; strict=False allows exploratory
+    sub-threshold runs, which end with an Error outcome when the cap is hit.
+    fedavg ignores s0: it runs on a transfer-free copy of g with
+    contributions pinned at the ceiling.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {algorithm!r}")
     if algorithm == "2p-upbred":
-        return two_phase_run(g, cfg, w0, s0, pool=pool, strict=strict)
+        if g.payment.kind != "linear":
+            raise ConfigError("two-phase dynamic requires a linear transfer rule")
+        zeta = g.cost.max_deriv(g.s_max)
+        if strict and g.payment.beta <= zeta:
+            raise ConfigError(
+                f"two-phase precondition failed: beta={g.payment.beta} must exceed "
+                f"the largest marginal cost at the ceiling ({zeta})"
+            )
     if algorithm == "fedavg":
-        return fedavg_run(g, cfg, w0, pool=pool)
-    if algorithm == "fedavg-strategic":
-        return fedavg_strategic_run(g, cfg, w0, s0, pool=pool)
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
+        g = replace(g, payment=PaymentRule.none())
+        w, _ = _init_state(g, w0, None)
+        s = g.s_max
+    else:
+        w, s = _init_state(g, w0, s0)
+    pool = pool if pool is not None else LocalPool(g, cfg)
+    return _run_phases(g, cfg, _schedule(g, cfg, algorithm, s), w, s, pool)
 
 
 def empirical_strategy_update(
-    s_prev: np.ndarray,
-    s_curr: np.ndarray,
-    loss_prev: np.ndarray,
-    loss_curr: np.ndarray,
-    marginal_costs: np.ndarray,
+    s_prev: float,
+    s_curr: float,
+    loss_prev: float,
+    loss_curr: float,
+    marginal_cost: float,
     beta: float,
-    s_max: np.ndarray,
-    last_quotients: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pure form of the difference-quotient contribution update.
+    s_max: float,
+    last_quotient: float,
+) -> tuple[float, float]:
+    """The difference-quotient contribution update of one agent.
 
-    next_i = clamp(curr_i - (loss_curr_i - loss_prev_i)/(curr_i - prev_i)
-                   - marginal_cost_i + beta).
-    Denominators below 1e-9 in magnitude fall back to the last finite
-    quotient (zero when none exists yet).  Returns (next profile, quotients).
+    next = clamp(curr - (loss_curr - loss_prev)/(curr - prev)
+                 - marginal_cost + beta, 0, s_max).
+    A denominator below 1e-9 in magnitude, or a non-finite quotient, falls
+    back to last_quotient (zero before any quotient exists).  Returns (next
+    contribution, quotient used).
     """
-    s_prev = np.asarray(s_prev, dtype=float)
-    s_curr = np.asarray(s_curr, dtype=float)
     ds = s_curr - s_prev
-    dl = np.asarray(loss_curr, dtype=float) - np.asarray(loss_prev, dtype=float)
-    fallback = (
-        np.zeros_like(s_curr) if last_quotients is None else np.asarray(last_quotients, dtype=float)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = dl / ds
-    usable = (np.abs(ds) >= QUOTIENT_DS_MIN) & np.isfinite(raw)
-    quotients = np.where(usable, raw, fallback)
-    nxt = s_curr - quotients - np.asarray(marginal_costs, dtype=float) + beta
-    return np.clip(nxt, 0.0, np.asarray(s_max, dtype=float)), quotients
+    quotient = last_quotient if abs(ds) < QUOTIENT_DS_MIN else (loss_curr - loss_prev) / ds
+    if not isfinite(quotient):
+        quotient = last_quotient
+    return min(max(s_curr - quotient - marginal_cost + beta, 0.0), s_max), quotient
 
 
 # ---------------------------------------------------------------------------
@@ -595,50 +501,30 @@ def iteration_bound_T0(E: float, eps: float, W: float) -> int:
 
 
 def iteration_bounds_two_phase(
+    g: GameInstance,
+    cfg: RunConfig,
     s0: np.ndarray,
-    s_max: np.ndarray,
-    beta: float,
-    cost_derivs_at_max: np.ndarray,
-    c: float,
     f0: float,
     f_opt: float,
-    eps: float,
     M: float,
     nu: float,
 ) -> tuple[int, int]:
     """(kappa, T0): phase-one round bound and training-phase round bound.
 
-    kappa = max_i ceil((s_max_i - s0_i) / (c * (beta - cost_deriv_i))), the
-    number of steps of size c times the worst-case margin each agent needs.
-    T0 bounds gradient descent with step 1/M on an M-smooth, nu-strongly
-    convex objective from value gap f0 - f_opt down to eps.
+    kappa is predicted_phase1_rounds(g, cfg, s0).  T0 bounds gradient descent
+    with step 1/M on an M-smooth, nu-strongly convex objective from value gap
+    f0 - f_opt down to cfg.eps.
     """
-    s0 = np.asarray(s0, dtype=float)
-    s_max = np.asarray(s_max, dtype=float)
-    derivs = np.asarray(cost_derivs_at_max, dtype=float)
-    if c <= 0.0:
-        raise ConfigError("phase-one step size must be positive")
-    deltas = beta - derivs
-    if np.any(deltas <= 0.0):
-        bad = int(np.argmin(deltas))
+    kappa = predicted_phase1_rounds(g, cfg, s0)
+    if kappa is None:
         raise ConfigError(
-            f"transfer margin nonpositive for agent {bad}: beta={beta}, "
-            f"marginal cost {derivs[bad]}"
+            "phase-one bound needs a linear transfer rule whose level exceeds "
+            f"every marginal cost at the ceiling (largest {g.cost.max_deriv(g.s_max)})"
         )
-    gaps = np.maximum(s_max - s0, 0.0)
-    kappa = int(max((_ceil_guarded(gap / (c * d)) for gap, d in zip(gaps, deltas)), default=0))
-    if eps <= 0.0:
-        raise ConfigError("eps must be positive")
     if not 0.0 < nu <= M:
         raise ConfigError("need 0 < nu <= M")
-    gap = max(f0 - f_opt, 0.0)
-    if gap <= eps:
-        t0 = 0
-    elif nu == M:
-        t0 = 1  # rate 1 - nu/M degenerates to an exact single step
-    else:
-        t0 = _ceil_guarded(log(gap / eps) / log(1.0 / (1.0 - nu / M)))
-    return kappa, t0
+    # the value gap contracts by 1 - nu/M per step; nu == M is one exact step
+    return kappa, iteration_bound_T0(max(f0 - f_opt, 0.0), cfg.eps, 1.0 - nu / M)
 
 
 def corollary_bound(w0_dist: float, eps: float, M: float, nu: float) -> int:

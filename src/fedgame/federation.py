@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, FederationError, GameInstance
+from .core import ConfigError, FederationError, GameError, GameInstance
 from .dynamics import AgentReply, AgentWorker, RunConfig, run_dynamic
 from .traceio import instance_digest
 
@@ -399,7 +399,11 @@ def serve_center(
     timeout: float = DEFAULT_TIMEOUT,
     strict: bool = True,
 ):
-    """Run the selected dynamic with remote agents; returns the Trace."""
+    """Run the selected dynamic with remote agents; returns the Trace.
+
+    The closing bye tells the agents the run was aborted when it ended in
+    an Error outcome.
+    """
     pool = RemotePool(g, cfg, algorithm, channels, timeout)
     try:
         pool.handshake()
@@ -407,7 +411,7 @@ def serve_center(
     except BaseException:
         pool.close(ok=False)
         raise
-    pool.close()
+    pool.close(ok=trace.outcome != "Error")
     return trace
 
 
@@ -417,8 +421,10 @@ def serve_center(
 
 def run_agent(g: GameInstance, agent_id: int, cfg: RunConfig, channel, notify=None) -> int:
     """Agent loop: handshake, answer broadcasts, exit on bye.  Returns a
-    process-style status (0 clean, nonzero on protocol failure).  notify, if
-    given, is called with a one-line reason on every failure path."""
+    process-style status: 0 clean, nonzero on a protocol failure, an aborted
+    run, or a failure of the agent's own computation, which it also reports
+    to the center in an error frame.  notify, if given, is called with a
+    one-line reason on every failure path."""
     note = notify if notify is not None else lambda msg: None
     worker = AgentWorker(g, agent_id, cfg)
     send_frame(
@@ -495,7 +501,13 @@ def run_agent(g: GameInstance, agent_id: int, cfg: RunConfig, channel, notify=No
             _best_effort(channel, "error", {"message": "malformed broadcast fields"})
             note("malformed broadcast fields")
             return 1
-        reply = worker.step(t, phase, np.array(w, dtype=float), np.array(s, dtype=float))
+        try:
+            reply = worker.step(t, phase, np.array(w, dtype=float), np.array(s, dtype=float))
+        except GameError as exc:
+            message = f"agent {agent_id} failed at round {t}: {exc}"
+            _best_effort(channel, "error", {"message": message})
+            note(message)
+            return 1
         report = {"run_id": run_id, "t": t, "agent_id": agent_id}
         if reply.s_next is not None:
             report["s_next"] = reply.s_next

@@ -8,8 +8,6 @@ with zero cost at zero contribution.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from math import ceil, log
 from typing import Protocol, runtime_checkable
@@ -241,30 +239,6 @@ def synth_dataset(
     return train, test
 
 
-def dataset_to_csv(ds: SyntheticDataset) -> str:
-    """Render a dataset as CSV: feature columns f0..f{d-1}, then `label`."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"f{j}" for j in range(ds.n_features)] + ["label"])
-    for row, lab in zip(ds.features, ds.labels):
-        writer.writerow([repr(float(x)) for x in row] + [int(lab)])
-    return buf.getvalue()
-
-
-def dataset_from_csv(text: str) -> SyntheticDataset:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if not header or header[-1] != "label":
-        raise ConfigError("dataset CSV must end with a `label` column")
-    feats, labels = [], []
-    for row in reader:
-        if not row:
-            continue
-        feats.append([float(x) for x in row[:-1]])
-        labels.append(int(row[-1]))
-    return SyntheticDataset(np.array(feats, dtype=float), np.array(labels, dtype=int))
-
-
 def _as_weight_matrix(w: np.ndarray, n_classes: int, n_features: int) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (n_classes * n_features,):
@@ -290,15 +264,6 @@ def cross_entropy_grad(w: np.ndarray, ds: SyntheticDataset, n_classes: int) -> n
     probs[np.arange(ds.size), ds.labels] -= 1.0
     grad = probs.T @ ds.features / ds.size
     return grad.reshape(-1)
-
-
-@dataclass(frozen=True)
-class LocalStep:
-    """Outcome of one local training step; degenerate means nothing was used."""
-
-    w: np.ndarray
-    n_used: int
-    degenerate: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,16 +324,17 @@ class EmpiricalAccuracy:
 
     def local_training_step(
         self, i: int, w: np.ndarray, s_i: float, learn_rate: float
-    ) -> LocalStep:
-        """One gradient-descent step on the first ceil(s_i) train rows."""
+    ) -> np.ndarray:
+        """Parameters after one gradient-descent step on the first ceil(s_i)
+        train rows; w unchanged when s_i rounds up to no rows."""
         count = int(ceil(max(s_i, 0.0)))
         if count == 0:
-            return LocalStep(np.array(w, dtype=float), 0, True)
+            return np.array(w, dtype=float)
         full = self.train_sets[i]
         count = min(count, full.size)
         prefix = SyntheticDataset(full.features[:count], full.labels[:count])
         grad = cross_entropy_grad(w, prefix, self.n_classes)
-        return LocalStep(np.asarray(w, dtype=float) - learn_rate * grad, count, False)
+        return np.asarray(w, dtype=float) - learn_rate * grad
 
     def manifest(self) -> dict:
         return {

@@ -36,8 +36,6 @@ from fedgame.dynamics import (
     iteration_bound_T0,
     iteration_bounds_two_phase,
     run_dynamic,
-    two_phase_run,
-    upbred_run,
 )
 from fedgame.federation import (
     accept_agents,
@@ -131,11 +129,8 @@ def test_criterion_05_two_phase_guarantees():
     M = 2.0 / (g.accuracy.sigma0 + float(np.sum(g.s_max)))
     assert M == pytest.approx(0.2, abs=1e-15)
 
-    derivs = np.array([g.cost.deriv(i, g.agents[i].s_max) for i in range(g.n)])
     f0 = (compute_w_opt(g).welfare - social_welfare(g, b.w0, g.s_max)) / g.n
-    kappa, t0 = iteration_bounds_two_phase(
-        b.s0, g.s_max, g.payment.beta, derivs, b.run.gamma, f0, 0.0, 1e-6, M, M
-    )
+    kappa, t0 = iteration_bounds_two_phase(g, b.run, b.s0, f0, 0.0, M, M)
 
     phase1 = [r for r in trace.records if r.phase == "1"]
     phase2 = [r for r in trace.records if r.phase == "2"]
@@ -213,7 +208,7 @@ def test_criterion_07_contraction_rate(known_constants_game):
     T0 = iteration_bound_T0(E0, eps, W)
 
     cfg = RunConfig(gamma=gamma, eta=eta, rounds=T0, eps=eps)
-    trace = upbred_run(g, cfg, w0, s0)
+    trace = run_dynamic(g, cfg, "upbred", w0, s0)
     assert trace.outcome == "Converged"
     assert trace.final.t <= T0
 
@@ -320,14 +315,14 @@ def test_criterion_10_transfer_sweep(five_agent_game):
     cfg = RunConfig(gamma=0.5, eta=5.5, rounds=500, eps=1e-6)
     for beta in (0.12, 0.2, 0.5, 1.0):
         g = replace(five_agent_game, payment=PaymentRule.linear(beta))
-        trace = two_phase_run(g, cfg, w0, s0)
+        trace = run_dynamic(g, cfg, "2p-upbred", w0, s0)
         assert trace.outcome == "Converged"
         assert float(np.sum(trace.final.s)) == total_max  # snap makes it exact
         welfares.append((beta, trace.final.welfare))
 
     g0 = replace(five_agent_game, payment=PaymentRule.linear(0.0))
     cfg0 = replace(cfg, phase1_cap=2500)
-    trace0 = two_phase_run(g0, cfg0, w0, s0, strict=False)
+    trace0 = run_dynamic(g0, cfg0, "2p-upbred", w0, s0, strict=False)
     assert trace0.outcome == "Error"
     assert float(np.sum(trace0.final.s)) < total_max
     welfares.append((0.0, trace0.final.welfare))
@@ -352,11 +347,11 @@ def test_criterion_11_payment_order(five_agent_game):
         payment=PaymentRule.linear(0.2),
     )
     cfg = RunConfig(gamma=0.5, eta=3.0, rounds=500, eps=1e-6)
-    traces.append(two_phase_run(het, cfg, np.zeros(2), np.zeros(4)))
+    traces.append(run_dynamic(het, cfg, "2p-upbred", np.zeros(2), np.zeros(4)))
 
     g0 = replace(five_agent_game, payment=PaymentRule.linear(0.0))
     cfg0 = RunConfig(gamma=0.5, eta=5.5, rounds=500, eps=1e-6, phase1_cap=1500)
-    traces.append(two_phase_run(g0, cfg0, np.zeros(3), np.zeros(5), strict=False))
+    traces.append(run_dynamic(g0, cfg0, "2p-upbred", np.zeros(3), np.zeros(5), strict=False))
 
     for trace in traces:
         final = trace.final

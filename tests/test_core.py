@@ -7,22 +7,23 @@ from hypothesis import strategies as st
 
 from fedgame.core import (
     BOUND_TOL,
+    AgentSpec,
     ConfigError,
     GameInstance,
     NumericError,
     PaymentRule,
     clamp_profile,
-    mu_correct,
     payment,
     payment_vector,
-    raw_strategy_derivatives,
     social_welfare,
+    strategy_derivative,
     strategy_gradient,
     utility,
     welfare_gradient,
 )
+from fedgame.models import CostModel
 
-from conftest import quadratic_game
+from conftest import SeparableAccuracy, quadratic_game
 
 
 def test_payment_none_is_zero():
@@ -135,25 +136,37 @@ def test_welfare_gradient_matches_finite_differences(five_agent_game):
         assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
+def fixed_slope_game(slopes, s_max=5.0):
+    """Costless game whose own-contribution derivative is exactly `slopes`."""
+    n = len(slopes)
+    return GameInstance(
+        agents=tuple(AgentSpec(id=i, s_max=s_max) for i in range(n)),
+        accuracy=SeparableAccuracy(k=slopes, q=0.0, alpha=1.0, w_bar=[0.0]),
+        cost=CostModel.linear(np.zeros(n)),
+        payment=PaymentRule.none(),
+        m=1,
+    )
+
+
 def test_mu_correction_zeroes_outward_components_only():
+    g = fixed_slope_game([-1.0, 1.0, -3.0, 2.0, -2.0])
     s = np.array([0.0, 5.0, 2.0, 0.0, 5.0])
-    s_max = np.full(5, 5.0)
-    raw = np.array([-1.0, 1.0, -3.0, 2.0, -2.0])
-    out = mu_correct(raw, s, s_max)
+    out = strategy_gradient(g, np.zeros(1), s)
     assert out == pytest.approx([0.0, 0.0, -3.0, 2.0, -2.0])
+    assert [strategy_derivative(g, i, np.zeros(1), s) for i in range(5)] == list(out)
 
 
 def test_mu_correction_uses_absolute_tolerance():
+    g = fixed_slope_game([-1.0, 1.0])
     s = np.array([BOUND_TOL / 2, 5.0 - BOUND_TOL / 2])
-    out = mu_correct(np.array([-1.0, 1.0]), s, np.array([5.0, 5.0]))
-    assert out == pytest.approx([0.0, 0.0])
+    assert strategy_gradient(g, np.zeros(1), s) == pytest.approx([0.0, 0.0])
 
 
 def test_strategy_gradient_includes_transfer_slope(example_game, example_game_paid):
     w = np.array([0.5, 1.5])
-    s = np.array([2.0, 3.0])
-    base = raw_strategy_derivatives(example_game, w, s)
-    paid = raw_strategy_derivatives(example_game_paid, w, s)
+    s = np.array([2.0, 3.0])  # interior: no boundary correction applies
+    base = strategy_gradient(example_game, w, s)
+    paid = strategy_gradient(example_game_paid, w, s)
     assert paid == pytest.approx(base + 0.05)
 
 

@@ -11,14 +11,10 @@ from fedgame.dynamics import (
     contraction_factor,
     corollary_bound,
     empirical_strategy_update,
-    fedavg_run,
-    fedavg_strategic_run,
     iteration_bound_T0,
     iteration_bounds_two_phase,
     predicted_phase1_rounds,
     run_dynamic,
-    two_phase_run,
-    upbred_run,
 )
 from fedgame.models import EmpiricalAccuracy, synth_dataset
 
@@ -49,7 +45,7 @@ def test_run_config_validation():
 def test_upbred_example_trajectory(example_game):
     w0, s0 = example_start()
     cfg = RunConfig(gamma=0.25, eta=0.25, rounds=50, eps=0.3)
-    trace = upbred_run(example_game, cfg, w0, s0)
+    trace = run_dynamic(example_game, cfg, "upbred", w0, s0)
     assert trace.outcome == "Converged"
     assert [r.t for r in trace.records] == [0, 1, 2]
     first = trace.records[0]
@@ -68,7 +64,7 @@ def test_upbred_example_trajectory(example_game):
 def test_upbred_stops_only_when_both_norms_small(example_game):
     w0, s0 = example_start()
     cfg = RunConfig(gamma=0.25, eta=0.25, rounds=500, eps=0.25)
-    trace = upbred_run(example_game, cfg, w0, s0)
+    trace = run_dynamic(example_game, cfg, "upbred", w0, s0)
     assert trace.outcome == "Converged"
     # g hits exactly zero at round 2 but the welfare gradient is still large,
     # so the run must continue past it; as w keeps learning, agent 2's bound
@@ -82,7 +78,7 @@ def test_upbred_stops_only_when_both_norms_small(example_game):
 def test_upbred_zero_round_budget(example_game):
     w0, s0 = example_start()
     cfg = RunConfig(gamma=0.25, eta=0.25, rounds=0, eps=1e-6)
-    trace = upbred_run(example_game, cfg, w0, s0)
+    trace = run_dynamic(example_game, cfg, "upbred", w0, s0)
     assert trace.outcome == "MaxRounds"
     assert len(trace.records) == 1
     assert trace.records[0].t == 0
@@ -91,7 +87,7 @@ def test_upbred_zero_round_budget(example_game):
 def test_upbred_error_outcome_reports_round(example_game):
     # sigma0 = 0 with an all-zero profile is singular at round 0
     cfg = RunConfig(gamma=0.25, eta=0.25, rounds=10)
-    trace = upbred_run(example_game, cfg, np.zeros(2), np.zeros(2))
+    trace = run_dynamic(example_game, cfg, "upbred", np.zeros(2), np.zeros(2))
     assert trace.outcome == "Error"
     assert trace.error.startswith("round 0:")
     assert trace.records == []
@@ -100,8 +96,8 @@ def test_upbred_error_outcome_reports_round(example_game):
 def test_upbred_w_grad_at_choices_differ(example_game):
     w0, s0 = example_start()
     base = dict(gamma=0.25, eta=0.25, rounds=1, eps=1e-12)
-    tr_upd = upbred_run(example_game, RunConfig(**base, w_grad_at="updated"), w0, s0)
-    tr_cur = upbred_run(example_game, RunConfig(**base, w_grad_at="current"), w0, s0)
+    tr_upd = run_dynamic(example_game, RunConfig(**base, w_grad_at="updated"), "upbred", w0, s0)
+    tr_cur = run_dynamic(example_game, RunConfig(**base, w_grad_at="current"), "upbred", w0, s0)
     # the family's parameter gradient depends on total contribution, so
     # evaluating at the updated own contribution must move w differently
     assert not np.array_equal(tr_upd.final.w, tr_cur.final.w)
@@ -111,14 +107,14 @@ def test_upbred_w_grad_at_choices_differ(example_game):
 def test_upbred_rejects_bad_initial_state(example_game):
     cfg = RunConfig(gamma=0.25, eta=0.25, rounds=1)
     with pytest.raises(ConfigError):
-        upbred_run(example_game, cfg, np.zeros(3), None)
+        run_dynamic(example_game, cfg, "upbred", np.zeros(3), None)
     with pytest.raises(ConfigError):
-        upbred_run(example_game, cfg, np.zeros(2), np.array([0.0, 5.1]))
+        run_dynamic(example_game, cfg, "upbred", np.zeros(2), np.array([0.0, 5.1]))
 
 
 def test_two_phase_example_reaches_optimum(example_game_paid):
     cfg = RunConfig(gamma=0.5, eta=5.0, rounds=200)
-    trace = two_phase_run(example_game_paid, cfg, np.zeros(2), np.array([2.5, 2.5]))
+    trace = run_dynamic(example_game_paid, cfg, "2p-upbred", np.zeros(2), np.array([2.5, 2.5]))
     assert trace.outcome == "Converged"
     phase1 = [r for r in trace.records if r.phase == "1"]
     phase2 = [r for r in trace.records if r.phase == "2"]
@@ -136,7 +132,7 @@ def test_two_phase_example_reaches_optimum(example_game_paid):
 def test_two_phase_snaps_within_tolerance(example_game_paid):
     cfg = RunConfig(gamma=0.5, eta=5.0, rounds=50)
     s0 = np.array([5.0, 5.0 - 1e-10])  # inside the snap tolerance
-    trace = two_phase_run(example_game_paid, cfg, np.zeros(2), s0)
+    trace = run_dynamic(example_game_paid, cfg, "2p-upbred", np.zeros(2), s0)
     assert all(r.phase == "2" for r in trace.records)
     assert trace.records[0].s == pytest.approx([5.0, 5.0], abs=0)
     assert trace.records[0].t == 0
@@ -145,7 +141,7 @@ def test_two_phase_snaps_within_tolerance(example_game_paid):
 def test_two_phase_requires_linear_rule(example_game):
     cfg = RunConfig(gamma=0.5, eta=5.0, rounds=10)
     with pytest.raises(ConfigError):
-        two_phase_run(example_game, cfg)
+        run_dynamic(example_game, cfg, "2p-upbred")
 
 
 def test_two_phase_strict_validates_transfer_level():
@@ -154,9 +150,9 @@ def test_two_phase_strict_validates_transfer_level():
     )
     cfg = RunConfig(gamma=0.5, eta=5.0, rounds=10)
     with pytest.raises(ConfigError):
-        two_phase_run(g, cfg)
+        run_dynamic(g, cfg, "2p-upbred")
     # non-strict mode lets the run proceed and fail (or not) on its own
-    trace = two_phase_run(g, cfg, np.zeros(2), np.array([2.5, 2.5]), strict=False)
+    trace = run_dynamic(g, cfg, "2p-upbred", np.zeros(2), np.array([2.5, 2.5]), strict=False)
     assert trace.outcome in ("Converged", "MaxRounds", "Error")
 
 
@@ -166,7 +162,9 @@ def test_two_phase_cap_error_names_laggard():
     )
     cfg = RunConfig(gamma=0.5, eta=0.5, rounds=10, phase1_cap=5)
     # at w = theta the accuracy term is flat, so both agents shrink
-    trace = two_phase_run(g, cfg, np.array([1.0, 2.0]), np.array([2.5, 2.5]), strict=False)
+    trace = run_dynamic(
+        g, cfg, "2p-upbred", np.array([1.0, 2.0]), np.array([2.5, 2.5]), strict=False
+    )
     assert trace.outcome == "Error"
     assert "round 5:" in trace.error
     assert "cap of 5 rounds" in trace.error
@@ -176,7 +174,7 @@ def test_two_phase_cap_error_names_laggard():
 
 def test_fedavg_pins_contributions_and_strips_payments(example_game_paid):
     cfg = RunConfig(gamma=0.5, eta=0.25, rounds=5000, eps=1e-6)
-    trace = fedavg_run(example_game_paid, cfg, np.zeros(2))
+    trace = run_dynamic(example_game_paid, cfg, "fedavg", np.zeros(2))
     assert trace.outcome == "Converged"
     assert all(r.phase == "single" for r in trace.records)
     for rec in trace.records:
@@ -189,14 +187,16 @@ def test_fedavg_pins_contributions_and_strips_payments(example_game_paid):
 
 def test_fedavg_zero_rounds(example_game):
     cfg = RunConfig(gamma=0.5, eta=0.25, rounds=0)
-    trace = fedavg_run(example_game, cfg, np.zeros(2))
+    trace = run_dynamic(example_game, cfg, "fedavg", np.zeros(2))
     assert trace.outcome == "MaxRounds"
     assert len(trace.records) == 1
 
 
 def test_fedavg_strategic_example_settles_at_corner(example_game):
     cfg = RunConfig(gamma=0.25, eta=0.25, rounds=2000, eps=1e-6)
-    trace = fedavg_strategic_run(example_game, cfg, np.array([0.5, 1.5]), np.array([1.0, 1.0]))
+    trace = run_dynamic(
+        example_game, cfg, "fedavg-strategic", np.array([0.5, 1.5]), np.array([1.0, 1.0])
+    )
     assert trace.outcome == "Converged"
     phase1 = [r for r in trace.records if r.phase == "1"]
     phase2 = [r for r in trace.records if r.phase == "2"]
@@ -214,7 +214,9 @@ def test_fedavg_strategic_example_settles_at_corner(example_game):
 
 def test_fedavg_strategic_cap_error_names_pusher(example_game):
     cfg = RunConfig(gamma=0.25, eta=0.25, rounds=10, eps=1e-6, phase1_cap=3)
-    trace = fedavg_strategic_run(example_game, cfg, np.array([0.5, 1.5]), np.array([1.0, 1.0]))
+    trace = run_dynamic(
+        example_game, cfg, "fedavg-strategic", np.array([0.5, 1.5]), np.array([1.0, 1.0])
+    )
     assert trace.outcome == "Error"
     assert "cap of 3 rounds" in trace.error
     assert "still improving" in trace.error
@@ -286,9 +288,7 @@ def test_empirical_worker_quotient_matches_manual_computation():
     s1 = np.array([r0.s_next, 12.0])
     w1 = np.full(4, 0.05)
     before = g.accuracy.test_loss(0, w1)
-    after = g.accuracy.test_loss(
-        0, g.accuracy.local_training_step(0, w1, float(s1[0]), 0.2).w
-    )
+    after = g.accuracy.test_loss(0, g.accuracy.local_training_step(0, w1, float(s1[0]), 0.2))
     quotient = (after - before) / (float(s1[0]) - 10.0)
     expected = float(np.clip(float(s1[0]) - quotient - 0.002 + 0.01, 0.0, 30.0))
     r1 = worker.step(1, "single", w1, s1)
@@ -308,37 +308,30 @@ def test_empirical_worker_reuses_quotient_for_tiny_moves():
 
 
 def test_empirical_strategy_update_pure_form():
-    nxt, quo = empirical_strategy_update(
-        s_prev=np.array([1.0, 2.0]),
-        s_curr=np.array([1.5, 2.0]),  # second agent did not move
-        loss_prev=np.array([0.8, 0.9]),
-        loss_curr=np.array([0.7, 0.5]),
-        marginal_costs=np.array([0.1, 0.1]),
-        beta=0.2,
-        s_max=np.array([5.0, 5.0]),
-        last_quotients=np.array([0.0, -0.3]),
-    )
-    assert quo == pytest.approx([-0.2, -0.3])
-    assert nxt == pytest.approx([1.5 + 0.2 + 0.1, 2.0 + 0.3 + 0.1])
+    # args: s_prev, s_curr, loss_prev, loss_curr, marginal cost, beta, s_max,
+    # last quotient
+    nxt, quo = empirical_strategy_update(1.0, 1.5, 0.8, 0.7, 0.1, 0.2, 5.0, 0.0)
+    assert quo == pytest.approx(-0.2)
+    assert nxt == pytest.approx(1.5 + 0.2 + 0.1)
+    # an agent that did not move reuses its last quotient
+    nxt, quo = empirical_strategy_update(2.0, 2.0, 0.9, 0.5, 0.1, 0.2, 5.0, -0.3)
+    assert quo == -0.3
+    assert nxt == pytest.approx(2.0 + 0.3 + 0.1)
+    # so does one whose loss is not finite
+    _, quo = empirical_strategy_update(1.0, 1.5, 0.8, float("nan"), 0.1, 0.2, 5.0, -0.3)
+    assert quo == -0.3
 
 
 def test_empirical_strategy_update_clamps():
-    nxt, _ = empirical_strategy_update(
-        s_prev=np.array([1.0]),
-        s_curr=np.array([2.0]),
-        loss_prev=np.array([0.5]),
-        loss_curr=np.array([5.5]),  # strongly harmful: quotient 5
-        marginal_costs=np.array([0.0]),
-        beta=0.0,
-        s_max=np.array([5.0]),
-    )
-    assert nxt[0] == 0.0
+    # strongly harmful contribution: quotient 5
+    nxt, _ = empirical_strategy_update(1.0, 2.0, 0.5, 5.5, 0.0, 0.0, 5.0, 0.0)
+    assert nxt == 0.0
 
 
 def test_empirical_upbred_runs_and_records_analytic_norms():
     g = toy_empirical_game()
     cfg = RunConfig(gamma=0.5, eta=0.5, rounds=5, updater="empirical", learn_rate=0.2)
-    trace = upbred_run(g, cfg, np.zeros(4), np.array([10.0, 12.0]))
+    trace = run_dynamic(g, cfg, "upbred", np.zeros(4), np.array([10.0, 12.0]))
     assert trace.outcome in ("MaxRounds", "Converged")
     # the recorded strategy norm comes from the family's analytic derivative
     # (zero own-contribution term), not from the difference quotients
@@ -373,45 +366,31 @@ def test_iteration_bound_t0():
         iteration_bound_T0(2.0, 0.0, 0.5)
 
 
-def test_iteration_bounds_two_phase_hand_case():
+def test_iteration_bounds_two_phase_hand_case(example_game_paid):
+    cfg = RunConfig(gamma=0.5, eta=5.0, rounds=10, eps=1e-6)
     kappa, t0 = iteration_bounds_two_phase(
-        s0=np.array([2.5, 2.5]),
-        s_max=np.array([5.0, 5.0]),
-        beta=0.05,
-        cost_derivs_at_max=np.array([0.04, 0.02]),
-        c=0.5,
-        f0=0.5,
-        f_opt=0.0,
-        eps=1e-6,
-        M=0.2,
-        nu=0.2,
+        example_game_paid, cfg, np.array([2.5, 2.5]), f0=0.5, f_opt=0.0, M=0.2, nu=0.2
     )
     assert kappa == 500
     assert t0 == 1  # nu == M collapses the rate to a single step
 
 
 def test_iteration_bounds_two_phase_geometric_tail():
-    _, t0 = iteration_bounds_two_phase(
-        s0=np.zeros(1),
-        s_max=np.ones(1),
-        beta=1.0,
-        cost_derivs_at_max=np.zeros(1),
-        c=1.0,
-        f0=1.0,
-        f_opt=0.0,
-        eps=1e-3,
-        M=2.0,
-        nu=1.0,
-    )
+    g = quadratic_game(2, 1, (0.0,), 1.0, 1.0, 0.0, payment=PaymentRule.linear(1.0))
+    cfg = RunConfig(gamma=1.0, eta=1.0, rounds=10, eps=1e-3)
+    kappa, t0 = iteration_bounds_two_phase(g, cfg, np.zeros(2), f0=1.0, f_opt=0.0, M=2.0, nu=1.0)
+    assert kappa == 1
     # rate 1 - nu/M = 1/2: need ceil(log2(1000)) rounds
     assert t0 == 10
 
 
-def test_iteration_bounds_two_phase_rejects_nonpositive_margin():
+def test_iteration_bounds_two_phase_rejects_nonpositive_margin(example_game):
+    g = quadratic_game(2, 1, (0.0,), 1.0, 1.0, 0.2, payment=PaymentRule.linear(0.1))
+    cfg = RunConfig(gamma=1.0, eta=1.0, rounds=10, eps=1e-3)
     with pytest.raises(ConfigError):
-        iteration_bounds_two_phase(
-            np.zeros(1), np.ones(1), 0.1, np.array([0.2]), 1.0, 1.0, 0.0, 1e-3, 1.0, 1.0
-        )
+        iteration_bounds_two_phase(g, cfg, np.zeros(2), 1.0, 0.0, 1.0, 1.0)
+    with pytest.raises(ConfigError):  # no transfer rule at all
+        iteration_bounds_two_phase(example_game, cfg, np.zeros(2), 1.0, 0.0, 1.0, 1.0)
 
 
 def test_corollary_bound():

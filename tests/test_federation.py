@@ -3,6 +3,7 @@
 import json
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedgame.core import ConfigError, FederationError
-from fedgame.dynamics import RunConfig, run_dynamic, upbred_run
+from fedgame.dynamics import RunConfig, run_dynamic
 from fedgame.federation import (
     DecodeError,
     MAX_FRAME_BYTES,
@@ -437,7 +438,7 @@ def test_agent_flags_aborted_bye_after_ack(example_game):
 def test_inprocess_federation_matches_local(example_game):
     cfg = cfg_for()
     w0, s0 = example_start()
-    local = upbred_run(example_game, cfg, w0, s0)
+    local = run_dynamic(example_game, cfg, "upbred", w0, s0)
     fed = run_inprocess_federation(example_game, cfg, "upbred", w0, s0, timeout=10.0)
     assert fed.agent_status == [0, 0]
     assert trace_csv_text(fed.trace) == trace_csv_text(local)
@@ -453,10 +454,27 @@ def test_inprocess_two_phase_matches_local(example_game_paid):
     assert trace_csv_text(fed.trace) == trace_csv_text(local)
 
 
+def test_agent_step_failure_ends_run_promptly(example_game):
+    # with eps this small both contributions shrink to zero after about a
+    # thousand rounds, and agent 1's gradient at the emptied pool is singular
+    cfg = RunConfig(gamma=0.25, eta=0.25, rounds=3000, eps=1e-14)
+    w0, s0 = example_start()
+    local = run_dynamic(example_game, cfg, "upbred", w0, s0)
+    assert "singular denominator" in local.error
+    started = time.monotonic()
+    fed = run_inprocess_federation(example_game, cfg, "upbred", w0, s0)
+    assert time.monotonic() - started < 5.0  # well inside the default timeout
+    assert fed.trace.outcome == "Error"
+    assert trace_csv_text(fed.trace) == trace_csv_text(local)
+    assert "agent 1" in fed.trace.error
+    assert "singular denominator" in fed.trace.error
+    assert all(status != 0 for status in fed.agent_status)
+
+
 def test_tcp_federation_matches_local(example_game):
     cfg = cfg_for()
     w0, s0 = example_start()
-    local = upbred_run(example_game, cfg, w0, s0)
+    local = run_dynamic(example_game, cfg, "upbred", w0, s0)
 
     listener = open_listener("127.0.0.1", 0)
     port = listener.getsockname()[1]

@@ -13,8 +13,6 @@ from fedgame.models import (
     SyntheticDataset,
     cross_entropy,
     cross_entropy_grad,
-    dataset_from_csv,
-    dataset_to_csv,
     synth_dataset,
 )
 
@@ -129,15 +127,6 @@ def test_synth_dataset_separation_scales_class_means():
     assert shift == pytest.approx(np.full(50, 3.0))
 
 
-def test_dataset_csv_round_trip():
-    ds = SyntheticDataset(
-        np.array([[0.1, -2.5], [3.25, 0.0]]), np.array([1, 0])
-    )
-    back = dataset_from_csv(dataset_to_csv(ds))
-    assert np.array_equal(back.features, ds.features)
-    assert np.array_equal(back.labels, ds.labels)
-
-
 def test_cross_entropy_against_direct_formula():
     rng = np.random.default_rng(3)
     ds = SyntheticDataset(rng.normal(size=(6, 2)), rng.integers(0, 3, size=6))
@@ -202,34 +191,33 @@ def test_local_training_step_uses_prefix():
     acc = _toy_empirical()
     w = np.zeros(4)
     step_small = acc.local_training_step(0, w, 3.2, 0.5)
-    assert step_small.n_used == 4  # ceil(3.2)
-    assert not step_small.degenerate
     full = acc.train_sets[0]
     prefix = SyntheticDataset(full.features[:4], full.labels[:4])
     expected = w - 0.5 * cross_entropy_grad(w, prefix, 2)
-    assert step_small.w == pytest.approx(expected)
+    assert step_small == pytest.approx(expected)
+    # ceil(3.2) = 4 rows: the same step as s = 4, not as s = 3
+    assert np.array_equal(step_small, acc.local_training_step(0, w, 4.0, 0.5))
+    assert not np.array_equal(step_small, acc.local_training_step(0, w, 3.0, 0.5))
 
 
 def test_local_training_step_degenerate_at_zero():
     acc = _toy_empirical()
     w = np.ones(4)
-    step = acc.local_training_step(0, w, 0.0, 0.5)
-    assert step.degenerate
-    assert step.n_used == 0
-    assert np.array_equal(step.w, w)
+    assert np.array_equal(acc.local_training_step(0, w, 0.0, 0.5), w)
 
 
 def test_local_training_step_caps_at_train_size():
     acc = _toy_empirical()
-    step = acc.local_training_step(0, np.zeros(4), 10_000.0, 0.1)
-    assert step.n_used == acc.train_sets[0].size
+    size = acc.train_sets[0].size
+    capped = acc.local_training_step(0, np.zeros(4), 10_000.0, 0.1)
+    assert np.array_equal(capped, acc.local_training_step(0, np.zeros(4), float(size), 0.1))
 
 
 def test_local_training_step_reduces_train_loss():
     acc = _toy_empirical(seed=8)
     w = np.zeros(4)
     before = cross_entropy(w, acc.train_sets[0], 2)
-    after_w = acc.local_training_step(0, w, 20.0, 0.2).w
+    after_w = acc.local_training_step(0, w, 20.0, 0.2)
     after = cross_entropy(after_w, acc.train_sets[0], 2)
     assert after < before
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedgame.core import ConfigError, PaymentRule
-from fedgame.dynamics import RunConfig, Trace, upbred_run
+from fedgame.dynamics import RunConfig, Trace, run_dynamic
 from fedgame.traceio import (
     fmt_float,
     game_manifest,
@@ -26,7 +26,9 @@ from conftest import quadratic_game
 
 def small_trace(example_game):
     cfg = RunConfig(gamma=0.25, eta=0.25, rounds=50, eps=0.3)
-    return upbred_run(example_game, cfg, np.array([0.35, 1.35]), np.array([0.004, 4.996]))
+    return run_dynamic(
+        example_game, cfg, "upbred", np.array([0.35, 1.35]), np.array([0.004, 4.996])
+    )
 
 
 @settings(max_examples=300, deadline=None)
