@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+from fedgame.analysis import certify_nash
 from fedgame.config import build_scenario, parse_scenario
 from fedgame.dynamics import run_dynamic
 from fedgame.federation import run_inprocess_federation
@@ -64,8 +65,69 @@ CASES = {
 }
 
 
+# n = 50 agents on a 30-d bowl: large enough that a change in the order of
+# the O(n) row sums behind every oracle call would show in the digests.
+QUAD50 = """[instance]
+n = 50
+m = 30
+accuracy = quadratic
+theta = {theta}
+sigma0 = 1.0
+r = 1.0
+s_max = 2.0
+cost = random-linear
+cost_scale = 0.1
+payment = linear
+beta = 0.12
+
+[run]
+algorithm = upbred
+gamma = 0.5
+eta = 0.5
+rounds = 60
+eps = 1e-12
+seed = 3
+
+[init]
+w0 = zeros
+s0 = random
+""".format(theta=",".join(repr(((k % 7) - 3) / 4.0) for k in range(30)))
+
+# (overrides to QUAD50, sha256 of the trace CSV, outcome, records)
+LARGE_CASES = {
+    "quad50-updated": (
+        (),
+        "cd5d20afc918be49830572d83dc300ad8d497f8f046dfa3aeb8dee2a5636fba7",
+        "MaxRounds", 61,
+    ),
+    "quad50-current": (
+        ("run.w_grad_at=current",),
+        "f0372b15e95047a673cef4454545cd5a4aaaa7a2bc2e08d88989a39c684781d2",
+        "MaxRounds", 61,
+    ),
+    "quad50-2p": (
+        ("run.algorithm=2p-upbred", "run.rounds=40"),
+        "f929fd5e56532ac68c95973adc9035609607d167d5240b2c2a17db884565a443",
+        "MaxRounds", 160,
+    ),
+    "quad50-strategic": (
+        ("run.algorithm=fedavg-strategic", "run.rounds=40", "instance.beta=0.05", "run.gamma=8.0"),
+        "3eb4fbc07534432b0de6f3b840e339e24683b6005778ab29c6a939112e387073",
+        "MaxRounds", 103,
+    ),
+}
+
+# sha256 of the repr of the regrets and best responses (as float lists) of
+# certify_nash at the final profile of quad50-updated
+QUAD50_CERTIFY = "4eb3b99626b5d888eee42fe45de73d1cfb779d382a55a0df2786b5e2195531e9"
+
+
 def built(name, overrides=()):
     return build_scenario(parse_scenario(builtin_text(name), list(overrides)))
+
+
+def built50(overrides=()):
+    return build_scenario(parse_scenario(QUAD50, list(overrides)))
 
 
 def digest(trace) -> str:
@@ -92,3 +154,29 @@ def test_golden_inprocess_federation_equals_local():
     assert fed.agent_status == [0, 0]
     assert fed.trace.outcome == "Converged"
     assert digest(fed.trace) == CASES["example1-upbred"][2]
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_CASES))
+def test_golden_trace_n50(case):
+    overrides, sha, outcome, count = LARGE_CASES[case]
+    b = built50(overrides)
+    trace = run_dynamic(b.game, b.run, b.algorithm, b.w0, b.s0)
+    assert trace.outcome == outcome
+    assert len(trace.records) == count
+    assert trace.error is None
+    assert digest(trace) == sha
+
+
+def test_golden_certify_n50():
+    b = built50()
+    trace = run_dynamic(b.game, b.run, b.algorithm, b.w0, b.s0)
+    cert = certify_nash(b.game, trace.final.w, trace.final.s, 1e-6)
+    text = repr(([float(v) for v in cert.regrets], [float(v) for v in cert.best_responses]))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == QUAD50_CERTIFY
+
+
+def test_golden_inprocess_federation_quad5_equals_local():
+    b = built("quad5")
+    fed = run_inprocess_federation(b.game, b.run, b.algorithm, b.w0, b.s0, timeout=10.0)
+    assert fed.agent_status == [0] * 5
+    assert digest(fed.trace) == CASES["quad5"][2]
