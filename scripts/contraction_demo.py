@@ -47,6 +47,13 @@ class SeparableAccuracy:
     def grad_w(self, i, w, s):
         return -self.alpha * (np.asarray(w, dtype=float) - self.w_bar)
 
+    def evaluate(self, idx, w, S):
+        """Row r: agent idx[r] at (w, S[r]), one per-agent call at a time."""
+        rows = [(self.value(i, w, s), self.dsi(i, w, s), self.grad_w(i, w, s))
+                for i, s in zip(idx, S)]
+        values, dsi, grads = zip(*rows)
+        return np.array(values), np.array(dsi), np.array(grads)
+
     def manifest(self):
         return {"family": "separable", "k": self.k.tolist(), "q": self.q,
                 "alpha": self.alpha, "w_bar": self.w_bar.tolist()}

@@ -24,6 +24,7 @@ from .core import (
     PaymentRule,
     payment,
     social_welfare,
+    utilities,
     welfare_gradient,
 )
 
@@ -89,17 +90,32 @@ def best_response(
         return _own_utility(g, i, w, s, x)
 
     xs = np.linspace(0.0, hi, grid_points)
-    vals = [f(x) for x in xs]
-    best = 0
-    for k in range(1, grid_points):
-        if vals[k] > vals[best]:  # strict: ties keep the smaller contribution
-            best = k
+    vals = _scan(g, i, w, s, xs)
+    best = int(np.argmax(vals))  # first maximum: ties keep the smaller contribution
     lo_b = xs[max(best - 1, 0)]
     hi_b = xs[min(best + 1, grid_points - 1)]
     x_ref, v_ref = _golden_max(f, float(lo_b), float(hi_b), xtol)
     if v_ref > vals[best]:
         return x_ref, v_ref
     return float(xs[best]), vals[best]
+
+
+def _scan(g: GameInstance, i: int, w: np.ndarray, s: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """_own_utility at every contribution in xs, from one batched oracle call.
+
+    A singular point makes the batch raise; the scan then falls back to one
+    call per point so that only that point scores -inf.
+    """
+    trials = s[None, :].repeat(len(xs), axis=0)
+    trials[:, i] = xs
+    try:
+        vals = utilities(g, np.full(len(xs), i), w, trials)
+    except ModelEvalError:
+        return np.array([_own_utility(g, i, w, s, x) for x in xs])
+    nan = np.isnan(vals)
+    if nan.any():
+        raise NumericError(f"utility is NaN for agent {i} at s_i={xs[np.argmax(nan)]}")
+    return vals
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ welfare sums accuracies only, so transfers cancel out of the planner's view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isfinite
 from typing import TYPE_CHECKING
 
@@ -97,6 +97,10 @@ class GameInstance:
     cost: "CostModel"
     payment: PaymentRule
     m: int
+    # read-only arrays built once from agents
+    ids: np.ndarray = field(init=False, repr=False)
+    s_max: np.ndarray = field(init=False, repr=False)
+    initial_s: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.agents)
@@ -114,18 +118,17 @@ class GameInstance:
             raise ConfigError("cost model agent count does not match n")
         if self.payment.kind == "linear" and n < 2:
             raise ConfigError("linear transfers require at least two agents")
+        for name, arr in (
+            ("ids", np.arange(n, dtype=np.intp)),
+            ("s_max", np.array([a.s_max for a in self.agents], dtype=float)),
+            ("initial_s", np.array([a.initial_s for a in self.agents], dtype=float)),
+        ):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
         return len(self.agents)
-
-    @property
-    def s_max(self) -> np.ndarray:
-        return np.array([a.s_max for a in self.agents], dtype=float)
-
-    @property
-    def initial_s(self) -> np.ndarray:
-        return np.array([a.initial_s for a in self.agents], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -149,6 +152,12 @@ def _as_profile(s: np.ndarray | list | tuple) -> np.ndarray:
     return arr
 
 
+def _transfer(beta: float, n: int, x, total):
+    """Linear transfer to a contribution x when all n contributions sum to
+    total: beta * (x - (total - x) / (n - 1)).  Works on floats and arrays."""
+    return beta * (x - (total - x) / (n - 1))
+
+
 def payment(rule: PaymentRule, s: np.ndarray, i: int) -> float:
     """Transfer to agent i under `rule` at profile s.
 
@@ -162,12 +171,18 @@ def payment(rule: PaymentRule, s: np.ndarray, i: int) -> float:
         return 0.0
     if n < 2:
         raise ConfigError("linear transfers require at least two agents")
-    others = (float(s.sum()) - float(s[i])) / (n - 1)
-    return rule.beta * (float(s[i]) - others)
+    return _transfer(rule.beta, n, float(s[i]), float(s.sum()))
 
 
 def payment_vector(rule: PaymentRule, s: np.ndarray) -> np.ndarray:
-    return np.array([payment(rule, s, i) for i in range(len(s))], dtype=float)
+    """Transfers to every agent at profile s; entry i equals payment(rule, s, i)."""
+    s = _as_profile(s)
+    n = s.shape[0]
+    if rule.kind == "none":
+        return np.zeros(n)
+    if n < 2:
+        raise ConfigError("linear transfers require at least two agents")
+    return _transfer(rule.beta, n, s, float(s.sum()))
 
 
 def utility(g: GameInstance, i: int, w: np.ndarray, s: np.ndarray) -> UtilityReport:
@@ -184,48 +199,108 @@ def utility(g: GameInstance, i: int, w: np.ndarray, s: np.ndarray) -> UtilityRep
     return rep
 
 
+def utilities(g: GameInstance, idx: np.ndarray, w: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Utility of agent idx[r] at (w, S[r]) for every row r of S, from one
+    batched oracle call; entry r equals utility(g, idx[r], w, S[r]).utility."""
+    idx = np.asarray(idx, dtype=np.intp)
+    S = np.asarray(S, dtype=float)
+    values, _, _ = g.accuracy.evaluate(idx, w, S)
+    x = S[np.arange(len(idx)), idx]
+    if g.payment.kind == "none":
+        pay = np.zeros(len(idx))
+    else:
+        pay = _transfer(g.payment.beta, g.n, x, S.sum(axis=1))
+    return values - g.cost.values(idx, x) + pay
+
+
+def evaluate_profile(
+    g: GameInstance, w: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, dsi, grad_w) of every agent at (w, s): one batched oracle call."""
+    s = _as_profile(s)
+    return g.accuracy.evaluate(g.ids, w, s[None, :].repeat(g.n, axis=0))
+
+
+def _left_sum(a: np.ndarray):
+    """Sum along axis 0 in the order `total = 0.0; total += a[k]` adds.
+
+    cumsum accumulates strictly left to right; adding 0.0 turns the -0.0
+    that a sum starting from a[0] can end on into the +0.0 a sum starting
+    from 0.0 gives, and leaves every other value as it is.
+    """
+    return np.cumsum(a, axis=0)[-1] + 0.0
+
+
 def social_welfare(g: GameInstance, w: np.ndarray, s: np.ndarray) -> float:
     """Sum of accuracies over agents.  Costs and transfers are excluded."""
-    s = _as_profile(s)
-    total = 0.0
-    for i in range(g.n):
-        total += g.accuracy.value(i, w, s)
-    return total
+    return float(_left_sum(evaluate_profile(g, w, s)[0]))
 
 
-def strategy_derivative(g: GameInstance, i: int, w: np.ndarray, s: np.ndarray) -> float:
-    """Boundary-corrected derivative of agent i's utility in its own contribution.
+def strategy_derivatives(
+    g: GameInstance, idx: np.ndarray, s: np.ndarray, dsi: np.ndarray
+) -> list[float]:
+    """Boundary-corrected derivative of each agent idx[r]'s utility in its
+    own contribution at profile s, given its accuracy slope dsi[r].
 
     d u_i / d s_i = d a_i / d s_i - c_i'(s_i) + beta, forced to zero when it
     points out of the box (negative at s_i = 0 or positive at s_i = s_i_max).
+    The arithmetic runs on Python floats, row by row: a remote agent steps
+    one row per round, where numpy's per-call overhead would cost several
+    times the arithmetic.
     """
-    s_i = float(s[i])
-    d = g.accuracy.dsi(i, w, s) - g.cost.deriv(i, s_i) + g.payment.beta
-    if not isfinite(d):
-        raise NumericError(f"non-finite strategy derivative for agent {i}")
-    if d < 0.0 and abs(s_i) <= BOUND_TOL:
-        return 0.0
-    if d > 0.0 and abs(s_i - g.agents[i].s_max) <= BOUND_TOL:
-        return 0.0
-    return d
+    beta = g.payment.beta
+    out = []
+    for i, slope in zip(np.asarray(idx).tolist(), np.asarray(dsi).tolist()):
+        s_i = float(s[i])
+        d = slope - g.cost.deriv(i, s_i) + beta
+        if not isfinite(d):
+            raise NumericError(f"non-finite strategy derivative for agent {i}")
+        if d < 0.0 and abs(s_i) <= BOUND_TOL:
+            d = 0.0
+        elif d > 0.0 and abs(s_i - g.agents[i].s_max) <= BOUND_TOL:
+            d = 0.0
+        out.append(d)
+    return out
 
 
 def strategy_gradient(g: GameInstance, w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Boundary-corrected strategy update direction, one entry per agent."""
     s = _as_profile(s)
-    return np.array([strategy_derivative(g, i, w, s) for i in range(g.n)], dtype=float)
+    return np.array(strategy_derivatives(g, g.ids, s, evaluate_profile(g, w, s)[1]))
+
+
+def _mean_gradient(g: GameInstance, grads: np.ndarray) -> np.ndarray:
+    """Mean of the agents' accuracy gradients in w (rows of grads, in id order)."""
+    out = _left_sum(grads) / g.n
+    if not np.isfinite(out).all():
+        raise NumericError("non-finite welfare gradient")
+    return out
 
 
 def welfare_gradient(g: GameInstance, w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Mean over agents of the accuracy gradient in w."""
+    return _mean_gradient(g, evaluate_profile(g, w, s)[2])
+
+
+def profile_state(
+    g: GameInstance, s: np.ndarray, rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> tuple[tuple[UtilityReport, ...], float, list[float], np.ndarray]:
+    """(per-agent reports, welfare, strategy gradient, welfare gradient) at
+    profile s from rows = evaluate_profile(g, w, s); each part equals what
+    utility, social_welfare, strategy_gradient and welfare_gradient return."""
     s = _as_profile(s)
-    total = np.zeros(g.m, dtype=float)
-    for i in range(g.n):
-        total += g.accuracy.grad_w(i, w, s)
-    out = total / g.n
-    if not np.all(np.isfinite(out)):
-        raise NumericError("non-finite welfare gradient")
-    return out
+    values, dsi, grads = rows
+    costs = g.cost.values(g.ids, s)
+    pays = payment_vector(g.payment, s)
+    reports = tuple(
+        UtilityReport.build(a, c, p)
+        for a, c, p in zip(values.tolist(), costs.tolist(), pays.tolist())
+    )
+    for i, rep in enumerate(reports):
+        if not isfinite(rep.utility):
+            raise NumericError(f"non-finite utility for agent {i}")
+    gv = strategy_derivatives(g, g.ids, s, dsi)
+    return reports, float(_left_sum(values)), gv, _mean_gradient(g, grads)
 
 
 def clamp_profile(s_raw: np.ndarray, g: GameInstance) -> np.ndarray:

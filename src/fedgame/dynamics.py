@@ -38,11 +38,10 @@ from .core import (
     PaymentRule,
     UtilityReport,
     clamp_profile,
-    social_welfare,
-    strategy_derivative,
+    evaluate_profile,
+    profile_state,
+    strategy_derivatives,
     strategy_gradient,
-    utility,
-    welfare_gradient,
 )
 from .traceio import game_manifest, instance_digest
 
@@ -124,78 +123,118 @@ class AgentReply:
     d: np.ndarray | None
 
 
-class AgentWorker:
-    """Round computations for one agent; uses only that agent's own data.
+class _AgentSteps:
+    """Round computations for a set of agents, each using only its own data.
 
-    The worker keeps the small amount of state the numerical contribution
-    updater needs (previous contribution and last finite difference
-    quotient); analytic updates are stateless.
+    One batched oracle call covers the whole set: LocalPool steps every
+    agent at once, a remote agent steps only its own id.  The set keeps the
+    small amount of state the numerical contribution updater needs (each
+    agent's previous contribution and last difference quotient); analytic
+    updates are stateless.
     """
+
+    def __init__(self, game: GameInstance, ids: Sequence[int], cfg: RunConfig) -> None:
+        self.game = game
+        self.ids = np.array(ids, dtype=np.intp)
+        self.cfg = cfg
+        self._id_list = self.ids.tolist()
+        self._rows = np.arange(len(self.ids))
+        self._s_hi = game.s_max[self.ids].tolist()
+        self._prev_s: list[float | None] = [None] * len(self.ids)
+        self._last_quotient = [0.0] * len(self.ids)
+
+    def _evaluate(self, w: np.ndarray, s: np.ndarray, own: list[float] | None = None):
+        """Oracle rows at profile s, or, given own, at s with each agent's
+        entry replaced by its own[r]."""
+        S = s[None, :]  # a single row at s can read s in place
+        if len(self._id_list) > 1 or own is not None:
+            S = S.repeat(len(self._id_list), axis=0)
+        if own is not None:
+            S[self._rows, self.ids] = own
+        return self.game.accuracy.evaluate(self.ids, w, S)
+
+    def _analytic_step(self, s: np.ndarray, dsi: np.ndarray) -> list[float]:
+        d = strategy_derivatives(self.game, self.ids, s, dsi)
+        gamma = self.cfg.gamma
+        return [
+            min(max(float(s[i]) + gamma * d_i, 0.0), hi)
+            for i, d_i, hi in zip(self._id_list, d, self._s_hi)
+        ]
+
+    def _empirical_step(self, w: np.ndarray, s: np.ndarray) -> list[float]:
+        g = self.game
+        out = []
+        for r, i in enumerate(self._id_list):
+            s_i = float(s[i])
+            loss_before = g.accuracy.test_loss(i, w)
+            trained = g.accuracy.local_training_step(i, w, s_i, self.cfg.learn_rate)
+            # no previous contribution yet: a zero step makes the quotient fall back
+            s_prev = s_i if self._prev_s[r] is None else self._prev_s[r]
+            nxt, self._last_quotient[r] = empirical_strategy_update(
+                s_prev, s_i, loss_before, g.accuracy.test_loss(i, trained),
+                g.cost.deriv(i, s_i), g.payment.beta, self._s_hi[r], self._last_quotient[r],
+            )
+            self._prev_s[r] = s_i
+            out.append(nxt)
+        return out
+
+    def _checked(self, grads: np.ndarray) -> np.ndarray:
+        if not np.isfinite(grads).all():
+            bad = ~np.isfinite(grads).all(axis=1)
+            raise NumericError(f"non-finite local gradient for agent {self.ids[np.argmax(bad)]}")
+        return grads
+
+    def step(self, t: int, phase: str, w: np.ndarray, s: np.ndarray) -> list[AgentReply]:
+        """Phase "1" moves contributions, "2" returns gradients, "single"
+        does both; the gradient is taken at the updated or the current
+        profile as cfg.w_grad_at says."""
+        if phase not in ("1", "2", "single"):
+            raise ConfigError(f"unknown round phase {phase!r}")
+        w = np.asarray(w, dtype=float)
+        s = np.asarray(s, dtype=float)
+        s_next = grads = at_s = None
+        if phase == "single" and self.cfg.updater == "empirical":
+            s_next = self._empirical_step(w, s)
+        elif phase != "2":
+            at_s = self._evaluate(w, s)
+            s_next = self._analytic_step(s, at_s[1])
+        if phase != "1":
+            if phase == "single" and self.cfg.w_grad_at == "updated":
+                at_s = self._evaluate(w, s, s_next)
+            elif at_s is None:
+                at_s = self._evaluate(w, s)
+            grads = self._checked(at_s[2])
+        return [
+            AgentReply(
+                i,
+                None if s_next is None else s_next[r],
+                None if grads is None else grads[r],
+            )
+            for r, i in enumerate(self._id_list)
+        ]
+
+
+class AgentWorker:
+    """Round computations of one agent, as a remote agent runs them."""
 
     def __init__(self, game: GameInstance, agent_id: int, cfg: RunConfig) -> None:
         if not 0 <= agent_id < game.n:
             raise ConfigError(f"agent id {agent_id} out of range")
-        self.game = game
         self.i = agent_id
-        self.cfg = cfg
-        self._prev_s: float | None = None
-        self._last_quotient = 0.0
-
-    def _analytic_step(self, w: np.ndarray, s: np.ndarray) -> float:
-        d = strategy_derivative(self.game, self.i, w, s)
-        s_hi = self.game.agents[self.i].s_max
-        return float(min(max(float(s[self.i]) + self.cfg.gamma * d, 0.0), s_hi))
-
-    def _empirical_step(self, w: np.ndarray, s: np.ndarray) -> float:
-        g = self.game
-        i = self.i
-        s_i = float(s[i])
-        loss_before = g.accuracy.test_loss(i, w)
-        trained = g.accuracy.local_training_step(i, w, s_i, self.cfg.learn_rate)
-        # no previous contribution yet: a zero step makes the quotient fall back
-        s_prev = s_i if self._prev_s is None else self._prev_s
-        nxt, self._last_quotient = empirical_strategy_update(
-            s_prev, s_i, loss_before, g.accuracy.test_loss(i, trained),
-            g.cost.deriv(i, s_i), g.payment.beta, g.agents[i].s_max, self._last_quotient,
-        )
-        self._prev_s = s_i
-        return float(nxt)
-
-    def _local_gradient(self, w: np.ndarray, s: np.ndarray) -> np.ndarray:
-        d = np.asarray(self.game.accuracy.grad_w(self.i, w, s), dtype=float)
-        if not np.all(np.isfinite(d)):
-            raise NumericError(f"non-finite local gradient for agent {self.i}")
-        return d
+        self._steps = _AgentSteps(game, (agent_id,), cfg)
 
     def step(self, t: int, phase: str, w: np.ndarray, s: np.ndarray) -> AgentReply:
-        w = np.asarray(w, dtype=float)
-        s = np.asarray(s, dtype=float)
-        if phase == "1":
-            return AgentReply(self.i, self._analytic_step(w, s), None)
-        if phase == "2":
-            return AgentReply(self.i, None, self._local_gradient(w, s))
-        if phase != "single":
-            raise ConfigError(f"unknown round phase {phase!r}")
-        if self.cfg.updater == "empirical":
-            s_next = self._empirical_step(w, s)
-        else:
-            s_next = self._analytic_step(w, s)
-        if self.cfg.w_grad_at == "updated":
-            s_eval = np.array(s)
-            s_eval[self.i] = s_next
-        else:
-            s_eval = s
-        return AgentReply(self.i, s_next, self._local_gradient(w, s_eval))
+        return self._steps.step(t, phase, w, s)[0]
 
 
 class LocalPool:
-    """In-process pool calling one worker per agent, in ascending id order."""
+    """In-process pool stepping every agent at once; replies in id order."""
 
     def __init__(self, game: GameInstance, cfg: RunConfig) -> None:
-        self.workers = [AgentWorker(game, i, cfg) for i in range(game.n)]
+        self._steps = _AgentSteps(game, range(game.n), cfg)
 
     def step(self, t: int, phase: str, w: np.ndarray, s: np.ndarray) -> list[AgentReply]:
-        return [wk.step(t, phase, w, s) for wk in self.workers]
+        return self._steps.step(t, phase, w, s)
 
     def close(self, ok: bool = True) -> None:
         pass
@@ -220,18 +259,17 @@ def _next_profile(g: GameInstance, replies: Sequence[AgentReply]) -> np.ndarray:
 
 
 def _round_record(
-    g: GameInstance, t: int, phase: str, w: np.ndarray, s: np.ndarray
+    g: GameInstance, t: int, phase: str, w: np.ndarray, s: np.ndarray, rows: tuple
 ) -> RoundRecord:
-    reports = tuple(utility(g, i, w, s) for i in range(g.n))
-    gv = strategy_gradient(g, w, s)
-    gt = welfare_gradient(g, w, s)
+    """The record of (w, s), from rows = evaluate_profile(g, w, s)."""
+    reports, welfare, gv, gt = profile_state(g, s, rows)
     return RoundRecord(
         t=t,
         phase=phase,
         s=np.array(s),
         w=np.array(w),
         reports=reports,
-        welfare=social_welfare(g, w, s),
+        welfare=welfare,
         g_norm=float(np.linalg.norm(gv)),
         gt_norm=float(np.linalg.norm(gt)),
     )
@@ -281,9 +319,11 @@ class Phase:
     with a contribution, "2" with a gradient and "single" with both.  Each
     round of the stage, in this order:
 
-    * handover(w, s), when set, runs before the round is recorded.  A profile
-      it returns ends the stage; the next stage starts from that profile at
-      the same round t, so that round is recorded under the next label.
+    * handover(s, rows), when set, runs before the round is recorded; rows
+      are evaluate_profile at the round's state, which the record reuses.
+      A profile it returns ends the stage; the next stage starts from that
+      profile at the same round t, so that round is recorded under the next
+      label.
     * converged(record), when set, ends the stage as Converged.
     * Once cap updates are done the stage ends as MaxRounds, or, when
       lagging is set, the run fails with a cap error whose tail is
@@ -295,7 +335,7 @@ class Phase:
     label: str
     sent: str
     cap: int
-    handover: Callable[[np.ndarray, np.ndarray], np.ndarray | None] | None = None
+    handover: Callable[[np.ndarray, tuple], np.ndarray | None] | None = None
     converged: Callable[[RoundRecord], bool] | None = None
     lagging: Callable[[np.ndarray, np.ndarray], str] | None = None
 
@@ -320,7 +360,7 @@ def _schedule(g: GameInstance, cfg: RunConfig, algorithm: str, s0: np.ndarray) -
         return [replace(training, label="single")]
 
     if algorithm == "2p-upbred":
-        def handover(w, s):
+        def handover(s, rows):
             # snap exactly onto the ceiling once within tolerance
             return g.s_max if float(np.max(g.s_max - s)) <= cfg.eps_s else None
 
@@ -330,8 +370,8 @@ def _schedule(g: GameInstance, cfg: RunConfig, algorithm: str, s0: np.ndarray) -
             return f"agent {k} is not increasing (gap {gaps[k]:.6g})"
 
     else:  # fedavg-strategic: stop once no agent has a positive derivative
-        def handover(w, s):
-            return s if float(np.max(strategy_gradient(g, w, s))) <= eps else None
+        def handover(s, rows):
+            return s if max(strategy_derivatives(g, g.ids, s, rows[1])) <= eps else None
 
         def lagging(w, s):
             gv = strategy_gradient(g, w, s)
@@ -354,16 +394,21 @@ def _run_phases(
     records: list[RoundRecord] = []
     outcome, err = "MaxRounds", None
     t = 0
+    rows = None  # evaluate_profile at the current (w, s), once per round
     try:
         for ph in phases:
             outcome, updates = "MaxRounds", 0
             while True:
+                if rows is None:
+                    rows = evaluate_profile(g, w, s)
                 if ph.handover is not None:
-                    s_next = ph.handover(w, s)
+                    s_next = ph.handover(s, rows)
                     if s_next is not None:
+                        if s_next is not s:
+                            rows = None
                         s = s_next
                         break
-                rec = _round_record(g, t, ph.label, w, s)
+                rec = _round_record(g, t, ph.label, w, s, rows)
                 records.append(rec)
                 if ph.converged is not None and ph.converged(rec):
                     outcome = "Converged"
@@ -382,6 +427,7 @@ def _run_phases(
                     w = _aggregate_w(g, cfg, w, replies)
                 if not (np.all(np.isfinite(w)) and np.all(np.isfinite(s))):
                     raise NumericError(_NON_FINITE[ph.sent])
+                rows = None
                 t += 1
                 updates += 1
     except (NumericError, ModelEvalError, FederationError) as exc:
@@ -536,10 +582,9 @@ def corollary_bound(w0_dist: float, eps: float, M: float, nu: float) -> int:
         raise ConfigError("need 0 < nu <= M")
     if w0_dist <= eps:
         return 0
-    if nu == M:
-        return 1
-    ratio = (1.0 + nu / M) / (1.0 - nu / M)
-    return _ceil_guarded(log(w0_dist / eps) / log(ratio))
+    q = nu / M
+    # the distance contracts by (1 - q)/(1 + q) per step; nu == M is one exact step
+    return iteration_bound_T0(w0_dist, eps, (1.0 - q) / (1.0 + q))
 
 
 def _ceil_guarded(x: float) -> int:

@@ -15,6 +15,8 @@ Protocol per run:
 Either side may send error {message} and drop the connection.  The center
 holds a round barrier: it never broadcasts round t+1 before holding all n
 reports for round t; a missing report after the timeout aborts the run.
+An agent that receives nothing from the center for the same timeout gives
+up with a nonzero status.
 """
 
 from __future__ import annotations
@@ -47,16 +49,17 @@ class DecodeError(FederationError):
         self.offset = offset
 
 
+# Built once: json.dumps and json.loads with options build a new encoder or
+# decoder on every call, which costs about as much as the coding of a
+# round's frame itself.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def encode_frame(ftype: str, payload: dict) -> bytes:
     if ftype not in FRAME_TYPES:
         raise ConfigError(f"unknown frame type {ftype!r}")
     try:
-        body = json.dumps(
-            {"type": ftype, "payload": payload},
-            sort_keys=True,
-            separators=(",", ":"),
-            allow_nan=False,
-        )
+        body = _ENCODER.encode({"type": ftype, "payload": payload})
     except ValueError as exc:
         raise FederationError(f"unencodable frame payload: {exc}") from None
     data = (body + "\n").encode("utf-8")
@@ -69,6 +72,9 @@ def _reject_constant(token: str):
     raise DecodeError(f"non-finite number {token!r} in frame")
 
 
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def decode_frame(line: bytes) -> tuple[str, dict]:
     if len(line) > MAX_FRAME_BYTES:
         raise DecodeError("frame exceeds 16 MiB", 0)
@@ -79,7 +85,7 @@ def decode_frame(line: bytes) -> tuple[str, dict]:
     except UnicodeDecodeError as exc:
         raise DecodeError(f"bad UTF-8: {exc.reason}", exc.start) from None
     try:
-        obj = json.loads(text, parse_constant=_reject_constant)
+        obj = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise DecodeError(f"bad JSON: {exc.msg}", exc.pos) from None
     if not isinstance(obj, dict):
@@ -110,8 +116,13 @@ class QueueChannel:
             raise FederationError("channel closed")
         self._outbox.put(data)
 
-    def recv_line(self) -> bytes:
-        data = self._inbox.get()
+    def recv_line(self, timeout: float | None = None) -> bytes:
+        """Next frame line, b"" at EOF; FederationError when timeout
+        seconds pass without one (None waits forever)."""
+        try:
+            data = self._inbox.get(timeout=timeout)
+        except queue.Empty:
+            raise FederationError(_stall_message(timeout)) from None
         if data == b"":
             self._inbox.put(b"")  # keep EOF sticky for any later reader
         return data
@@ -121,6 +132,10 @@ class QueueChannel:
             self._closed = True
             self._outbox.put(b"")
             self._inbox.put(b"")  # wake local readers blocked on recv_line
+
+
+def _stall_message(timeout: float | None) -> str:
+    return f"stalled: no frame received within {timeout}s"
 
 
 def channel_pair() -> tuple[QueueChannel, QueueChannel]:
@@ -135,6 +150,7 @@ class SocketChannel:
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
         self._sock.settimeout(None)
+        self._timeout: float | None = None
         self._file = sock.makefile("rb")
 
     def send_bytes(self, data: bytes) -> None:
@@ -143,9 +159,17 @@ class SocketChannel:
         except OSError as exc:
             raise FederationError(f"socket send failed: {exc}") from None
 
-    def recv_line(self) -> bytes:
+    def recv_line(self, timeout: float | None = None) -> bytes:
+        """Next frame line, b"" at EOF; FederationError when timeout
+        seconds pass without one (None waits forever).  The timeout also
+        bounds later sends."""
+        if timeout != self._timeout:
+            self._sock.settimeout(timeout)
+            self._timeout = timeout
         try:
             line = self._file.readline(MAX_FRAME_BYTES + 2)
+        except TimeoutError:
+            raise FederationError(_stall_message(timeout)) from None
         except OSError:
             return b""
         if len(line) > MAX_FRAME_BYTES:
@@ -419,14 +443,31 @@ def serve_center(
 # Agent side.
 
 
-def run_agent(g: GameInstance, agent_id: int, cfg: RunConfig, channel, notify=None) -> int:
+def run_agent(
+    g: GameInstance,
+    agent_id: int,
+    cfg: RunConfig,
+    channel,
+    notify=None,
+    timeout: float = DEFAULT_TIMEOUT,
+) -> int:
     """Agent loop: handshake, answer broadcasts, exit on bye.  Returns a
     process-style status: 0 clean, nonzero on a protocol failure, an aborted
-    run, or a failure of the agent's own computation, which it also reports
-    to the center in an error frame.  notify, if given, is called with a
-    one-line reason on every failure path."""
+    run, a center that sends nothing for timeout seconds, or a failure of
+    the agent's own computation, which it also reports to the center in an
+    error frame.  notify, if given, is called with a one-line reason on
+    every failure path."""
     note = notify if notify is not None else lambda msg: None
     worker = AgentWorker(g, agent_id, cfg)
+
+    def receive() -> bytes | None:
+        try:
+            return channel.recv_line(timeout)
+        except FederationError as exc:
+            _best_effort(channel, "error", {"message": f"agent {agent_id}: {exc}"})
+            note(f"waiting for the center: {exc}")
+            return None
+
     send_frame(
         channel,
         "hello",
@@ -436,7 +477,9 @@ def run_agent(g: GameInstance, agent_id: int, cfg: RunConfig, channel, notify=No
             "digest": instance_digest(g),
         },
     )
-    line = channel.recv_line()
+    line = receive()
+    if line is None:
+        return 1
     if line == b"":
         note("connection closed during handshake")
         return 1
@@ -459,7 +502,9 @@ def run_agent(g: GameInstance, agent_id: int, cfg: RunConfig, channel, notify=No
     run_id = payload.get("run_id")
     last_t: int | None = None
     while True:
-        line = channel.recv_line()
+        line = receive()
+        if line is None:
+            return 1
         if line == b"":
             note("connection closed by center")
             return 1
@@ -546,7 +591,7 @@ def run_inprocess_federation(
 
     def agent_main(i: int) -> None:
         try:
-            status[i] = run_agent(g, i, cfg, agent_ends[i])
+            status[i] = run_agent(g, i, cfg, agent_ends[i], timeout=timeout)
         except Exception:
             status[i] = 2
 
@@ -594,12 +639,14 @@ def connect_agent(
     timeout: float = DEFAULT_TIMEOUT,
     notify=None,
 ) -> int:
+    """run_agent over TCP; timeout bounds the connect and every wait for the
+    center."""
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
     except OSError as exc:
         raise FederationError(f"cannot reach center at {host}:{port}: {exc}") from None
     channel = SocketChannel(sock)
     try:
-        return run_agent(g, agent_id, cfg, channel, notify=notify)
+        return run_agent(g, agent_id, cfg, channel, notify=notify, timeout=timeout)
     finally:
         channel.close()

@@ -13,20 +13,32 @@ from math import ceil, log
 from typing import Protocol, runtime_checkable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import ConfigError, ModelEvalError
 
 
 @runtime_checkable
 class AccuracyModel(Protocol):
-    """Shared accuracy family with per-agent parameters inside."""
+    """Shared accuracy family with per-agent parameters inside.
+
+    evaluate(idx, w, S) is the batched oracle: row r of each of its three
+    results belongs to agent idx[r] at model w and profile S[r] (an array of
+    shape (len(idx), n)), and gives that agent's accuracy, the accuracy's
+    slope in the agent's own contribution, and its gradient in w (shape
+    (len(idx), m)).  A row whose accuracy cannot be evaluated raises
+    ModelEvalError.  value, dsi and grad_w return what the one-row case
+    returns, bit for bit.
+    """
 
     @property
     def n_agents(self) -> int: ...
 
     @property
     def dim(self) -> int: ...
+
+    def evaluate(
+        self, idx: np.ndarray, w: np.ndarray, S: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
 
     def value(self, i: int, w: np.ndarray, s: np.ndarray) -> float: ...
 
@@ -66,8 +78,37 @@ class QuadraticAccuracy:
     def dim(self) -> int:
         return int(self.theta.shape[0])
 
+    def evaluate(
+        self, idx: np.ndarray, w: np.ndarray, S: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        S = np.asarray(S, dtype=float)
+        w = np.asarray(w, dtype=float)
+        sq = self._sq_dist(w)
+        if S.shape[0] == 1:
+            # a remote agent's one row: scalar arithmetic skips the array
+            # set-up that would double the cost of its step
+            d = self._denom(S)
+            return (
+                np.array([float(self.r[idx[0]]) - sq / d]),
+                np.array([sq / d ** 2]),
+                (2.0 * (self.theta - w) / d)[None, :],
+            )
+        # row sums along the contiguous axis add in the same order as np.sum
+        # of one profile, so every row matches its one-row evaluation
+        denom = self.sigma0 + S.sum(axis=1)
+        dl = denom.tolist()
+        if any(d <= 0.0 for d in dl):
+            raise ModelEvalError("singular denominator: sigma0 + sum(s) <= 0")
+        values = self.r[np.asarray(idx, dtype=np.intp)] - sq / denom
+        # Python's d ** 2 (libm pow) is not always d * d; keep its bits
+        dsi = np.array([sq / d ** 2 for d in dl])
+        grads = (2.0 * (self.theta - w)) / denom[:, None]
+        return values, dsi, grads
+
+    # The per-agent forms compute only the output they return: finite-
+    # difference curvature estimation makes tens of thousands of value calls.
     def _denom(self, s: np.ndarray) -> float:
-        d = self.sigma0 + float(np.sum(s))
+        d = self.sigma0 + float(np.asarray(s).sum())
         if d <= 0.0:
             raise ModelEvalError("singular denominator: sigma0 + sum(s) <= 0")
         return d
@@ -114,6 +155,7 @@ class CostModel:
             if any(c < 0.0 or not np.isfinite(c) for c in vals):
                 raise ConfigError("linear cost coefficients must be finite and >= 0")
             object.__setattr__(self, "coeffs", vals)
+            object.__setattr__(self, "_slopes", np.array(vals, dtype=float))
         else:
             groups = tuple(tuple(float(c) for c in grp) for grp in self.coeffs)
             for grp in groups:
@@ -150,6 +192,16 @@ class CostModel:
         if self.kind == "linear":
             return float(self.coeffs[i])
         return float(sum((k + 1) * c * s_i ** k for k, c in enumerate(self.coeffs[i])))
+
+    def values(self, idx, x: np.ndarray) -> np.ndarray:
+        """c_{idx[r]}(x[r]) for every r: the vector form of value."""
+        x = np.asarray(x, dtype=float)
+        if self.kind != "linear":
+            return np.array([self.value(int(i), float(v)) for i, v in zip(idx, x)])
+        if (x < -1e-12).any():
+            raise ConfigError("contribution below zero in cost evaluation")
+        # np.where, unlike np.maximum, keeps max(-0.0, 0.0) == -0.0 as in value
+        return self._slopes[np.asarray(idx, dtype=np.intp)] * np.where(x < 0.0, 0.0, x)
 
     def second_deriv(self, i: int, s_i: float) -> float:
         if self.kind == "linear":
@@ -246,24 +298,67 @@ def _as_weight_matrix(w: np.ndarray, n_classes: int, n_features: int) -> np.ndar
     return w.reshape(n_classes, n_features)
 
 
-def cross_entropy(w: np.ndarray, ds: SyntheticDataset, n_classes: int) -> float:
-    """Mean cross-entropy of the linear classifier logits = W x on `ds`."""
-    wm = _as_weight_matrix(w, n_classes, ds.n_features)
-    logits = ds.features @ wm.T
-    lse = logsumexp(logits, axis=1)
+def _logits(w: np.ndarray, ds: SyntheticDataset, n_classes: int) -> np.ndarray:
+    return ds.features @ _as_weight_matrix(w, n_classes, ds.n_features).T
+
+
+def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row maxima (as a column) and exp(logits - row maximum)."""
+    top = logits.max(axis=1, keepdims=True)
+    return top, np.exp(logits - top)
+
+
+def _logsumexp_rows(logits: np.ndarray, top: np.ndarray, shifted: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of each row, bit for bit what scipy.special.logsumexp
+    returns: the maximal terms are split out, the rest summed, divided by
+    the number of maxima and passed through log1p, and a non-finite result
+    is replaced by the direct log(sum(exp))."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        is_top = logits == top
+        ties = is_top.sum(axis=1, keepdims=True, dtype=float)
+        rest = np.where(is_top, 0.0, shifted).sum(axis=1, keepdims=True)
+        rest = np.where(rest == 0.0, rest, rest / ties)
+        out = (np.log1p(rest) + np.log(ties) + top)[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out = np.where(bad, np.log(np.exp(logits).sum(axis=1)), out)
+    return out
+
+
+def _mean_loss(logits: np.ndarray, lse: np.ndarray, ds: SyntheticDataset) -> float:
     picked = logits[np.arange(ds.size), ds.labels]
     return float(np.mean(lse - picked))
 
 
-def cross_entropy_grad(w: np.ndarray, ds: SyntheticDataset, n_classes: int) -> np.ndarray:
-    wm = _as_weight_matrix(w, n_classes, ds.n_features)
-    logits = ds.features @ wm.T
-    logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits)
+def _loss_grad(shifted: np.ndarray, ds: SyntheticDataset) -> np.ndarray:
+    """Gradient of the mean cross-entropy; overwrites shifted."""
+    probs = shifted
     probs /= probs.sum(axis=1, keepdims=True)
     probs[np.arange(ds.size), ds.labels] -= 1.0
     grad = probs.T @ ds.features / ds.size
     return grad.reshape(-1)
+
+
+def cross_entropy(w: np.ndarray, ds: SyntheticDataset, n_classes: int) -> float:
+    """Mean cross-entropy of the linear classifier logits = W x on `ds`."""
+    logits = _logits(w, ds, n_classes)
+    top, shifted = _shifted_exp(logits)
+    return _mean_loss(logits, _logsumexp_rows(logits, top, shifted), ds)
+
+
+def cross_entropy_grad(w: np.ndarray, ds: SyntheticDataset, n_classes: int) -> np.ndarray:
+    _, shifted = _shifted_exp(_logits(w, ds, n_classes))
+    return _loss_grad(shifted, ds)
+
+
+def _cross_entropy_and_grad(
+    w: np.ndarray, ds: SyntheticDataset, n_classes: int
+) -> tuple[float, np.ndarray]:
+    """cross_entropy and cross_entropy_grad from one forward pass."""
+    logits = _logits(w, ds, n_classes)
+    top, shifted = _shifted_exp(logits)
+    loss = _mean_loss(logits, _logsumexp_rows(logits, top, shifted), ds)
+    return loss, _loss_grad(shifted, ds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,6 +404,19 @@ class EmpiricalAccuracy:
     @property
     def dim(self) -> int:
         return self.n_classes * self.n_features
+
+    def evaluate(
+        self, idx: np.ndarray, w: np.ndarray, S: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # the test loss ignores s: one fused pass per distinct agent
+        ids, rows = np.unique(np.asarray(idx, dtype=np.intp), return_inverse=True)
+        values = np.empty(len(ids))
+        grads = np.empty((len(ids), self.dim))
+        for k, i in enumerate(ids.tolist()):
+            loss, grad = _cross_entropy_and_grad(w, self.test_sets[i], self.n_classes)
+            values[k] = float(self.r[i]) - loss
+            grads[k] = -grad
+        return values[rows], np.zeros(len(rows)), grads[rows]
 
     def value(self, i: int, w: np.ndarray, s: np.ndarray) -> float:
         return float(self.r[i]) - cross_entropy(w, self.test_sets[i], self.n_classes)

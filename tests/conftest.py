@@ -111,6 +111,12 @@ class SeparableAccuracy:
     def grad_w(self, i, w, s):
         return -self.alpha * (np.asarray(w, dtype=float) - self.w_bar)
 
+    def evaluate(self, idx, w, S):
+        rows = [(self.value(i, w, s), self.dsi(i, w, s), self.grad_w(i, w, s))
+                for i, s in zip(idx, S)]
+        values, dsi, grads = zip(*rows)
+        return np.array(values), np.array(dsi), np.array(grads)
+
     def manifest(self):
         return {
             "family": self.family,

@@ -16,7 +16,7 @@ from fedgame.core import (
     payment,
     payment_vector,
     social_welfare,
-    strategy_derivative,
+    strategy_derivatives,
     strategy_gradient,
     utility,
     welfare_gradient,
@@ -153,7 +153,8 @@ def test_mu_correction_zeroes_outward_components_only():
     s = np.array([0.0, 5.0, 2.0, 0.0, 5.0])
     out = strategy_gradient(g, np.zeros(1), s)
     assert out == pytest.approx([0.0, 0.0, -3.0, 2.0, -2.0])
-    assert [strategy_derivative(g, i, np.zeros(1), s) for i in range(5)] == list(out)
+    dsi = np.array([g.accuracy.dsi(i, np.zeros(1), s) for i in range(5)])
+    assert [float(strategy_derivatives(g, [i], s, dsi[[i]])[0]) for i in range(5)] == list(out)
 
 
 def test_mu_correction_uses_absolute_tolerance():
@@ -211,3 +212,15 @@ def test_agent_ids_must_be_dense(example_game):
             payment=PaymentRule.none(),
             m=1,
         )
+
+
+def test_game_arrays_are_built_once_and_read_only():
+    g = quadratic_game(3, 1, (0.0,), 1.0, (1.0, 2.0, 3.0), 0.0, initial_s=(0.5, 1.0, 1.5))
+    assert g.s_max is g.s_max and g.initial_s is g.initial_s
+    assert list(g.s_max) == [1.0, 2.0, 3.0] and list(g.initial_s) == [0.5, 1.0, 1.5]
+    # an in-place write would corrupt every later round; it raises instead
+    with pytest.raises(ValueError):
+        g.s_max[0] = 9.0
+    with pytest.raises(ValueError):
+        g.initial_s += 1.0
+    assert list(g.s_max) == [1.0, 2.0, 3.0] and list(g.initial_s) == [0.5, 1.0, 1.5]

@@ -393,6 +393,35 @@ def test_iteration_bounds_two_phase_rejects_nonpositive_margin(example_game):
         iteration_bounds_two_phase(example_game, cfg, np.zeros(2), 1.0, 0.0, 1.0, 1.0)
 
 
+def _corollary_reference(w0_dist, eps, M, nu):
+    """The round count corollary_bound used before it went through
+    iteration_bound_T0."""
+    from math import ceil, log
+
+    if w0_dist <= eps:
+        return 0
+    if nu == M:
+        return 1
+    x = log(w0_dist / eps) / log((1.0 + nu / M) / (1.0 - nu / M))
+    nearest = round(x)
+    if abs(x - nearest) <= 1e-9 * max(1.0, abs(x)):
+        return int(nearest)
+    return int(ceil(x))
+
+
+def test_corollary_bound_matches_its_closed_form_on_a_grid():
+    checked = 0
+    for w0_dist in (0.0, 1e-9, 1e-3, 0.5, 1.0, 3.0, 9.0, 123.456, 1e6):
+        for eps in (1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.0, 10.0):
+            for M in (0.1, 1.0, 2.0, 7.5, 1e3):
+                for frac in (1e-6, 1e-3, 0.1, 1.0 / 3.0, 0.5, 0.9, 0.999, 1.0):
+                    nu = M * frac if frac < 1.0 else M
+                    got = corollary_bound(w0_dist, eps, M, nu)
+                    assert got == _corollary_reference(w0_dist, eps, M, nu), (w0_dist, eps, M, nu)
+                    checked += 1
+    assert checked == 9 * 7 * 5 * 8
+
+
 def test_corollary_bound():
     assert corollary_bound(0.5, 1.0, 2.0, 1.0) == 0
     assert corollary_bound(10.0, 1e-3, 2.0, 2.0) == 1

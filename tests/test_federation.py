@@ -523,3 +523,78 @@ def test_connect_agent_unreachable(example_game):
     probe.close()
     with pytest.raises(FederationError, match="cannot reach center"):
         connect_agent(example_game, 0, cfg_for(), "127.0.0.1", port, timeout=0.5)
+
+
+# ---------------------------------------------------------------------------
+# A center that goes quiet: the agent gives up within its timeout.
+
+STALL_TIMEOUT = 0.5
+STALL_SLACK = 2.0
+
+
+def test_agent_gives_up_when_center_stalls_after_hello(example_game):
+    notes = []
+    center_end, agent_end = channel_pair()
+    result = {}
+
+    def main():
+        result["status"] = run_agent(
+            example_game, 0, cfg_for(), agent_end, notify=notes.append, timeout=STALL_TIMEOUT
+        )
+
+    start = time.monotonic()
+    th = threading.Thread(target=main, daemon=True)
+    th.start()
+    ftype, _ = decode_frame(center_end.recv_line())
+    assert ftype == "hello"
+    ack(center_end)
+    th.join(timeout=STALL_TIMEOUT + STALL_SLACK)
+    assert not th.is_alive()
+    assert time.monotonic() - start <= STALL_TIMEOUT + STALL_SLACK
+    assert result["status"] != 0
+    assert any("stalled" in msg for msg in notes), notes
+    # the agent also tells the center why it left
+    ftype, payload = decode_frame(center_end.recv_line())
+    assert ftype == "error" and "stalled" in payload["message"]
+
+
+def test_agent_gives_up_when_center_never_acknowledges(example_game):
+    notes = []
+    center_end, agent_end = channel_pair()
+    start = time.monotonic()
+    status = run_agent(
+        example_game, 1, cfg_for(), agent_end, notify=notes.append, timeout=STALL_TIMEOUT
+    )
+    assert status != 0
+    assert time.monotonic() - start <= STALL_TIMEOUT + STALL_SLACK
+    assert any("stalled" in msg for msg in notes), notes
+
+
+def test_tcp_agent_gives_up_when_center_stalls_after_hello(example_game):
+    listener = open_listener("127.0.0.1", 0)
+    port = listener.getsockname()[1]
+    notes = []
+    result = {}
+
+    def agent_main():
+        result["status"] = connect_agent(
+            example_game, 0, cfg_for(), "127.0.0.1", port,
+            timeout=STALL_TIMEOUT, notify=notes.append,
+        )
+
+    start = time.monotonic()
+    th = threading.Thread(target=agent_main, daemon=True)
+    th.start()
+    try:
+        (channel,) = accept_agents(listener, 1, timeout=5.0)
+        ftype, _ = decode_frame(channel.recv_line())
+        assert ftype == "hello"
+        ack(channel)
+        th.join(timeout=STALL_TIMEOUT + STALL_SLACK)
+        assert not th.is_alive()
+        assert time.monotonic() - start <= STALL_TIMEOUT + STALL_SLACK
+        assert result["status"] != 0
+        assert any("stalled" in msg for msg in notes), notes
+        channel.close()
+    finally:
+        listener.close()
