@@ -192,18 +192,18 @@ class _AgentSteps:
             raise ConfigError(f"unknown round phase {phase!r}")
         w = np.asarray(w, dtype=float)
         s = np.asarray(s, dtype=float)
-        s_next = grads = at_s = None
+        s_next = grads = rows = None
         if phase == "single" and self.cfg.updater == "empirical":
             s_next = self._empirical_step(w, s)
         elif phase != "2":
-            at_s = self._evaluate(w, s)
-            s_next = self._analytic_step(s, at_s[1])
+            rows = self._evaluate(w, s)
+            s_next = self._analytic_step(s, rows[1])
         if phase != "1":
             if phase == "single" and self.cfg.w_grad_at == "updated":
-                at_s = self._evaluate(w, s, s_next)
-            elif at_s is None:
-                at_s = self._evaluate(w, s)
-            grads = self._checked(at_s[2])
+                rows = self._evaluate(w, s, s_next)
+            elif rows is None:
+                rows = self._evaluate(w, s)
+            grads = self._checked(rows[2])
         return [
             AgentReply(
                 i,
