@@ -89,11 +89,11 @@ class ScenarioConfig:
     formats: tuple[str, ...] = ("csv", "json")
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _parse_floats(text: str, what: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad float list {text!r}: {exc}") from None
+        raise ConfigError(f"{what}: bad float list {text!r}: {exc}") from None
 
 
 def _broadcast(vals: tuple[float, ...], n: int, what: str) -> tuple[float, ...]:
@@ -147,7 +147,7 @@ def parse_scenario(text: str, overrides: list[str] | None = None) -> ScenarioCon
             raise ConfigError(f"unknown section [{sec}]")
         for key in parser[sec]:
             if key not in _SCHEMA[sec]:
-                raise ConfigError(f"unknown key {key!r} in section [{sec}]")
+                raise ConfigError(f"unknown key {sec}.{key}")
     for ov in overrides or []:
         if "=" not in ov:
             raise ConfigError(f"override must look like section.key=value: {ov!r}")
@@ -181,7 +181,7 @@ def _typify(parser: configparser.ConfigParser) -> ScenarioConfig:
 
     accuracy = _get(inst, "accuracy", "quadratic")
     if accuracy not in ACCURACY_FAMILIES:
-        raise ConfigError(f"unknown accuracy family {accuracy!r}")
+        raise ConfigError(f"unknown instance.accuracy {accuracy!r}")
 
     features = classes = None
     sigma0 = 1e-6
@@ -200,11 +200,13 @@ def _typify(parser: configparser.ConfigParser) -> ScenarioConfig:
         theta_raw = _get(inst, "theta")
         if theta_raw is None:
             raise ConfigError("instance.theta is required for the quadratic family")
-        theta = _parse_floats(theta_raw)
+        if m < 1:
+            raise ConfigError("instance.m must be >= 1")
+        theta = _parse_floats(theta_raw, "instance.theta")
         if len(theta) != m:
-            raise ConfigError(f"theta needs {m} entries, got {len(theta)}")
+            raise ConfigError(f"instance.theta needs {m} entries, got {len(theta)}")
         sigma0 = _typed_float(_get(inst, "sigma0", repr(1e-6)), "instance.sigma0", nonneg=True)
-        r = _broadcast(_parse_floats(_get(inst, "r", "1.0")), n, "instance.r")
+        r = _broadcast(_parse_floats(_get(inst, "r", "1.0"), "instance.r"), n, "instance.r")
         features, classes = 2, 2  # unused placeholders kept at defaults
     else:
         for bad in ("theta", "sigma0"):
@@ -230,22 +232,20 @@ def _typify(parser: configparser.ConfigParser) -> ScenarioConfig:
         ds_raw = _get(inst, "data_seed", "none")
         data_seed = None if ds_raw == "none" else _typed_int(ds_raw, "instance.data_seed")
         r_default = _fmt_floats([float(np.log(classes))])
-        r = _broadcast(_parse_floats(_get(inst, "r", r_default)), n, "instance.r")
-    if m < 1:
-        raise ConfigError("instance.m must be >= 1")
+        r = _broadcast(_parse_floats(_get(inst, "r", r_default), "instance.r"), n, "instance.r")
 
-    s_max = _broadcast(_parse_floats(_get(inst, "s_max", "1.0")), n, "instance.s_max")
+    s_max = _broadcast(_parse_floats(_get(inst, "s_max", "1.0"), "instance.s_max"), n, "instance.s_max")
     if any(v <= 0.0 or not isfinite(v) for v in s_max):
         raise ConfigError("instance.s_max entries must be finite and positive")
 
     cost = _get(inst, "cost", "linear")
     if cost not in COST_KINDS:
-        raise ConfigError(f"unknown cost kind {cost!r}")
+        raise ConfigError(f"unknown instance.cost {cost!r}")
     cost_scale = 0.1
     cost_coeffs: tuple = ()
     if cost == "random-linear":
         if _get(inst, "cost_coeffs") is not None:
-            raise ConfigError("cost_coeffs cannot be combined with random-linear costs")
+            raise ConfigError("instance.cost_coeffs cannot be combined with random-linear costs")
         cost_scale = _typed_float(_get(inst, "cost_scale", "0.1"), "instance.cost_scale", positive=True)
     else:
         if _get(inst, "cost_scale") is not None:
@@ -254,27 +254,27 @@ def _typify(parser: configparser.ConfigParser) -> ScenarioConfig:
         if raw is None:
             raise ConfigError("instance.cost_coeffs is required for explicit costs")
         if cost == "linear":
-            cost_coeffs = _broadcast(_parse_floats(raw), n, "instance.cost_coeffs")
+            cost_coeffs = _broadcast(_parse_floats(raw, "instance.cost_coeffs"), n, "instance.cost_coeffs")
         else:
-            groups = tuple(_parse_floats(g) for g in raw.split(";"))
+            groups = tuple(_parse_floats(g, "instance.cost_coeffs") for g in raw.split(";"))
             if len(groups) == 1:
                 groups = groups * n
             if len(groups) != n:
-                raise ConfigError(f"cost_coeffs needs 1 or {n} groups, got {len(groups)}")
+                raise ConfigError(f"instance.cost_coeffs needs 1 or {n} groups, got {len(groups)}")
             cost_coeffs = groups
 
     payment = _get(inst, "payment", "none")
     if payment not in PAYMENT_KINDS:
-        raise ConfigError(f"unknown payment kind {payment!r}")
+        raise ConfigError(f"unknown instance.payment {payment!r}")
     beta = _typed_float(_get(inst, "beta", "0.0"), "instance.beta", nonneg=True)
     if payment == "none" and beta != 0.0:
-        raise ConfigError("beta must be 0 when payment = none")
+        raise ConfigError("instance.beta must be 0 when instance.payment = none")
     if payment == "linear" and n < 2:
-        raise ConfigError("linear transfers need at least two agents")
+        raise ConfigError("instance.payment = linear needs instance.n >= 2")
 
     algorithm = _get(run, "algorithm", "upbred")
     if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
+        raise ConfigError(f"unknown run.algorithm {algorithm!r}")
     gamma = _typed_float(_get(run, "gamma", "0.5"), "run.gamma", positive=True)
     eta = _typed_float(_get(run, "eta", "0.25"), "run.eta", positive=True)
     rounds = _typed_int(_get(run, "rounds", "1000"), "run.rounds")
@@ -289,12 +289,12 @@ def _typify(parser: configparser.ConfigParser) -> ScenarioConfig:
     seed = _typed_int(_get(run, "seed", "0"), "run.seed")
     updater = _get(run, "updater", "analytic")
     if updater not in UPDATERS:
-        raise ConfigError(f"unknown updater {updater!r}")
+        raise ConfigError(f"unknown run.updater {updater!r}")
     if updater == "empirical" and accuracy != "empirical":
-        raise ConfigError("the empirical updater requires the empirical accuracy family")
+        raise ConfigError("run.updater = empirical requires instance.accuracy = empirical")
     w_grad_at = _get(run, "w_grad_at", "updated")
     if w_grad_at not in W_GRAD_CHOICES:
-        raise ConfigError(f"unknown w_grad_at {w_grad_at!r}")
+        raise ConfigError(f"unknown run.w_grad_at {w_grad_at!r}")
     learn_rate = _typed_float(_get(run, "learn_rate", "0.1"), "run.learn_rate", positive=True)
 
     w0_raw = _get(init, "w0", "zeros")
@@ -302,7 +302,7 @@ def _typify(parser: configparser.ConfigParser) -> ScenarioConfig:
     if w0_raw in ("zeros", "random"):
         w0 = w0_raw
     else:
-        w0 = _parse_floats(w0_raw)
+        w0 = _parse_floats(w0_raw, "init.w0")
         if len(w0) != m:
             raise ConfigError(f"init.w0 needs {m} entries, got {len(w0)}")
     w0_scale = _typed_float(_get(init, "w0_scale", "1.0"), "init.w0_scale", positive=True)
@@ -311,20 +311,20 @@ def _typify(parser: configparser.ConfigParser) -> ScenarioConfig:
     if s0_raw == "random":
         s0 = "random"
     else:
-        s0 = _broadcast(_parse_floats(s0_raw), n, "init.s0")
+        s0 = _broadcast(_parse_floats(s0_raw, "init.s0"), n, "init.s0")
         for v, hi in zip(s0, s_max):
             if v < 0.0 or v > hi:
                 raise ConfigError("init.s0 outside the contribution box")
     s0_lo = _typed_float(_get(init, "s0_lo", repr(1.0 / 3.0)), "init.s0_lo", nonneg=True)
     s0_hi = _typed_float(_get(init, "s0_hi", repr(2.0 / 3.0)), "init.s0_hi", nonneg=True)
     if not (s0_lo <= s0_hi <= 1.0):
-        raise ConfigError("need 0 <= s0_lo <= s0_hi <= 1")
+        raise ConfigError("need 0 <= init.s0_lo <= init.s0_hi <= 1")
 
     out_dir = _get(outp, "out_dir", "out")
     formats = tuple(tok.strip() for tok in _get(outp, "formats", "csv,json").split(","))
     for f in formats:
         if f not in OUTPUT_FORMATS:
-            raise ConfigError(f"unknown output format {f!r}")
+            raise ConfigError(f"unknown output.formats entry {f!r}")
 
     return ScenarioConfig(
         n=n, m=m, accuracy=accuracy, s_max=s_max, r=r, theta=theta, sigma0=sigma0,

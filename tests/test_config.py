@@ -1,5 +1,8 @@
 """Scenario parsing, canonical rendering, deterministic building."""
 
+import configparser
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from fedgame.config import (
     with_overrides,
 )
 from fedgame.core import ConfigError
+from fedgame.dynamics import RunConfig
 
 MINIMAL_QUADRATIC = """
 [instance]
@@ -245,3 +249,81 @@ def test_round_trip_property(n, gamma, seed, algorithm):
     )
     cfg = parse_scenario(text)
     assert parse_scenario(render_scenario(cfg)) == cfg
+
+
+NO_COST = "[instance]\nn = 2\nm = 2\ntheta = 1.0, 2.0\n"
+ONE_AGENT_PAID = (
+    "[instance]\nn = 1\nm = 1\ntheta = 0.0\ncost_coeffs = 0.1\n"
+    "payment = linear\nbeta = 0.1\n"
+)
+
+# One row per rejection rule: (base text, overrides, text the message must
+# name).  Where one key is at fault the message names it as section.key.
+REJECTIONS = {
+    "float-list": (MINIMAL_QUADRATIC, ["instance.theta=1.0,abc"], "instance.theta"),
+    "broadcast-length": (MINIMAL_QUADRATIC, ["instance.s_max=1,2,3"], "instance.s_max"),
+    "not-a-number": (MINIMAL_QUADRATIC, ["run.gamma=abc"], "run.gamma"),
+    "not-finite": (MINIMAL_QUADRATIC, ["run.eps=inf"], "run.eps"),
+    "not-positive": (MINIMAL_QUADRATIC, ["run.eta=0"], "run.eta"),
+    "negative": (MINIMAL_QUADRATIC, ["instance.beta=-1"], "instance.beta"),
+    "not-an-integer": (MINIMAL_QUADRATIC, ["run.rounds=1.5"], "run.rounds"),
+    "syntax": ("[instance\nn = 2\n", [], "syntax error"),
+    "unknown-section": (MINIMAL_QUADRATIC + "\n[misc]\nx = 1\n", [], "[misc]"),
+    "unknown-key": (MINIMAL_QUADRATIC + "speed = 9\n", [], "instance.speed"),
+    "override-without-value": (MINIMAL_QUADRATIC, ["run.gamma"], "run.gamma"),
+    "override-without-section": (MINIMAL_QUADRATIC, ["gamma=0.1"], "gamma=0.1"),
+    "override-unknown-key": (MINIMAL_QUADRATIC, ["run.velocity=0.1"], "run.velocity"),
+    "missing-instance": ("[run]\nseed = 1\n", [], "instance"),
+    "n-missing": ("[instance]\nm = 1\ntheta = 0.0\ncost_coeffs = 0.1\n", [], "instance.n"),
+    "n-below-one": (MINIMAL_QUADRATIC, ["instance.n=0"], "instance.n"),
+    "unknown-accuracy": (MINIMAL_QUADRATIC, ["instance.accuracy=linear"], "instance.accuracy"),
+    "empirical-key-on-quadratic": (MINIMAL_QUADRATIC, ["instance.classes=3"], "instance.classes"),
+    "m-missing": ("[instance]\nn = 2\ntheta = 1.0\ncost_coeffs = 0.1\n", [], "instance.m"),
+    "theta-missing": ("[instance]\nn = 2\nm = 1\ncost_coeffs = 0.1\n", [], "instance.theta"),
+    "theta-length": (MINIMAL_QUADRATIC, ["instance.theta=1.0"], "instance.theta"),
+    "quadratic-key-on-empirical": (EMPIRICAL, ["instance.sigma0=1.0"], "instance.sigma0"),
+    "features-below-one": (EMPIRICAL, ["instance.features=0"], "instance.features"),
+    "classes-below-two": (EMPIRICAL, ["instance.classes=1"], "instance.classes"),
+    "m-conflicts": (EMPIRICAL, ["instance.m=5"], "instance.m"),
+    "test-size-below-one": (EMPIRICAL, ["instance.test_size=0"], "instance.test_size"),
+    "m-below-one": (MINIMAL_QUADRATIC, ["instance.m=0"], "instance.m"),
+    "s-max-not-positive": (MINIMAL_QUADRATIC, ["instance.s_max=0.0"], "instance.s_max"),
+    "unknown-cost": (MINIMAL_QUADRATIC, ["instance.cost=cubic"], "instance.cost"),
+    "coeffs-with-random-costs": (
+        MINIMAL_QUADRATIC, ["instance.cost=random-linear"], "instance.cost_coeffs"
+    ),
+    "scale-with-explicit-costs": (MINIMAL_QUADRATIC, ["instance.cost_scale=0.2"], "instance.cost_scale"),
+    "coeffs-missing": (NO_COST, [], "instance.cost_coeffs"),
+    "polynomial-groups": (
+        MINIMAL_QUADRATIC,
+        ["instance.cost=polynomial", "instance.cost_coeffs=0.1;0.2;0.3"],
+        "instance.cost_coeffs",
+    ),
+    "unknown-payment": (MINIMAL_QUADRATIC, ["instance.payment=quadratic"], "instance.payment"),
+    "beta-without-payment": (MINIMAL_QUADRATIC, ["instance.beta=0.5"], "instance.beta"),
+    "transfers-need-two-agents": (ONE_AGENT_PAID, [], "instance.payment"),
+    "unknown-algorithm": (MINIMAL_QUADRATIC, ["run.algorithm=sgd"], "run.algorithm"),
+    "rounds-negative": (MINIMAL_QUADRATIC, ["run.rounds=-1"], "run.rounds"),
+    "phase1-cap-below-one": (MINIMAL_QUADRATIC, ["run.phase1_cap=0"], "run.phase1_cap"),
+    "unknown-updater": (MINIMAL_QUADRATIC, ["run.updater=newton"], "run.updater"),
+    "empirical-updater-on-quadratic": (MINIMAL_QUADRATIC, ["run.updater=empirical"], "run.updater"),
+    "unknown-w-grad-at": (MINIMAL_QUADRATIC, ["run.w_grad_at=later"], "run.w_grad_at"),
+    "w0-length": (MINIMAL_QUADRATIC, ["init.w0=1.0"], "init.w0"),
+    "s0-outside-box": (MINIMAL_QUADRATIC, ["init.s0=0.5,1.5"], "init.s0"),
+    "s0-lo-above-hi": (MINIMAL_QUADRATIC, ["init.s0_lo=0.9", "init.s0_hi=0.1"], "init.s0_lo"),
+    "unknown-format": (MINIMAL_QUADRATIC, ["output.formats=csv,xml"], "output.formats"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_rejection_names_the_offending_key(case):
+    text, overrides, named = REJECTIONS[case]
+    with pytest.raises(ConfigError) as info:
+        parse_scenario(text, overrides)
+    assert named in str(info.value)
+
+
+def test_run_section_keys_are_run_config_fields_plus_algorithm():
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(render_scenario(parse_scenario(MINIMAL_QUADRATIC)))
+    assert set(parser["run"]) == {f.name for f in fields(RunConfig)} | {"algorithm"}

@@ -431,6 +431,49 @@ def test_agent_flags_aborted_bye_after_ack(example_game):
     assert seen == ["center aborted the run"]
 
 
+CLOSE = None
+GARBAGE = b"{not a frame\n"
+ACK = encode_frame(
+    "hello", {"protocol_version": PROTOCOL_VERSION, "run_id": "run0", "n": 2, "m": 2}
+)
+# What a scripted center sends after the agent's hello (CLOSE closes its end),
+# the agent's note, and the text of the error frame the agent sends back
+# (None where it sends none).
+AGENT_EXITS = {
+    "closed-during-handshake": ([CLOSE], "connection closed during handshake", None),
+    "malformed-handshake": ([GARBAGE], "malformed handshake", "malformed handshake"),
+    "non-hello-ack": (
+        [encode_frame("broadcast", {"t": 0})], "expected hello acceptance", "expected hello"
+    ),
+    "closed-by-center": ([ACK, CLOSE], "connection closed by center", None),
+    "malformed-broadcast": ([ACK, GARBAGE], "malformed broadcast", "malformed broadcast"),
+    "center-error": (
+        [ACK, encode_frame("error", {"message": "boom"})], "center reported an error: boom", None
+    ),
+    "unexpected-frame": ([ACK, ACK], "unexpected frame hello", "unexpected frame hello"),
+}
+AGENT_EXIT_TIMEOUT = 2.0
+
+
+@pytest.mark.parametrize("case", sorted(AGENT_EXITS))
+def test_agent_exits_on_bad_center_frames(example_game, case):
+    script, note, error = AGENT_EXITS[case]
+    notes = []
+    center, th, result = start_agent(example_game, 0, cfg_for(), notify=notes.append)
+    for item in script:
+        if item is CLOSE:
+            center.close()
+        else:
+            center.send_bytes(item)
+    th.join(timeout=AGENT_EXIT_TIMEOUT)
+    assert not th.is_alive()
+    assert result["status"] == 1
+    assert len(notes) == 1 and notes[0].startswith(note), notes
+    if error is not None:
+        ftype, payload = decode_frame(center.recv_line(AGENT_EXIT_TIMEOUT))
+        assert ftype == "error" and error in payload["message"]
+
+
 # ---------------------------------------------------------------------------
 # End-to-end transports.
 

@@ -11,6 +11,7 @@ import hashlib
 import pytest
 
 from fedgame.analysis import certify_nash
+from fedgame.cli import main
 from fedgame.config import build_scenario, parse_scenario
 from fedgame.dynamics import run_dynamic
 from fedgame.federation import run_inprocess_federation
@@ -122,6 +123,14 @@ LARGE_CASES = {
 QUAD50_CERTIFY = "4eb3b99626b5d888eee42fe45de73d1cfb779d382a55a0df2786b5e2195531e9"
 
 
+# sha256 of the stdout of `fedgame bounds --config <name> --samples 16`: the
+# estimated curvature constants pin every finite-difference stencil value
+BOUNDS = {
+    "example1-2p": "132dc94b4cb95b09f1f43e462ce1d087e146a4a206ed7216abfd7fd60e88f446",
+    "quad5": "e37382caca597856a463a2bf0af871a4fbf77065327353f77011f826108d0f40",
+}
+
+
 def built(name, overrides=()):
     return build_scenario(parse_scenario(builtin_text(name), list(overrides)))
 
@@ -180,3 +189,10 @@ def test_golden_inprocess_federation_quad5_equals_local():
     fed = run_inprocess_federation(b.game, b.run, b.algorithm, b.w0, b.s0, timeout=10.0)
     assert fed.agent_status == [0] * 5
     assert digest(fed.trace) == CASES["quad5"][2]
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS))
+def test_golden_bounds_output(name, capsys):
+    assert main(["bounds", "--config", name, "--samples", "16"]) == 3  # the region is empty
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BOUNDS[name]
