@@ -25,6 +25,7 @@ from .core import (
     payment,
     social_welfare,
     utilities,
+    utility,
     welfare_gradient,
 )
 
@@ -235,6 +236,22 @@ def _fd_steps(x: np.ndarray, fd_step: float | None) -> np.ndarray:
     return np.array([1e-4 * max(1.0, abs(float(v))) for v in x])
 
 
+def _second_difference(f, x: np.ndarray, h: np.ndarray, p: int, q: int) -> float:
+    """Central second difference of f at x in coordinates p and q with steps
+    h: the 3-point form when p == q, the 4-point mixed form otherwise."""
+
+    def f_at(dp: float, dq: float) -> float:
+        y = x.copy()
+        y[p] += dp
+        y[q] += dq
+        return f(y)
+
+    hp, hq = h[p], h[q]
+    if p == q:
+        return (f_at(hp, 0.0) - 2.0 * f(x) + f_at(-hp, 0.0)) / hp**2
+    return (f_at(hp, hq) - f_at(hp, -hq) - f_at(-hp, hq) + f_at(-hp, -hq)) / (4.0 * hp * hq)
+
+
 def estimate_matrices(
     g: GameInstance,
     w: np.ndarray,
@@ -257,73 +274,22 @@ def estimate_matrices(
         raise ConfigError("profile too close to the boundary for two-sided differences")
     hw = _fd_steps(w, fd_step)
     n, m = g.n, g.m
+    # one stencil over the joint point x = (w, s): w_k is x[k], s_i is x[m + i]
+    x = np.concatenate([w, s])
+    h = np.concatenate([hw, hs])
 
-    def u_i(i: int, wv: np.ndarray, sv: np.ndarray) -> float:
-        a = g.accuracy.value(i, wv, sv)
-        return a - g.cost.value(i, float(sv[i])) + payment(g.payment, sv, i)
+    def u(i: int):
+        return lambda xv: utility(g, i, xv[:m], xv[m:]).utility
 
-    def acc_sum(wv: np.ndarray, sv: np.ndarray) -> float:
+    def acc_sum(xv: np.ndarray) -> float:
+        wv, sv = xv[:m], xv[m:]
         return sum(g.accuracy.value(i, wv, sv) for i in range(n))
 
-    def shift(vec: np.ndarray, k: int, delta: float) -> np.ndarray:
-        out = np.array(vec)
-        out[k] += delta
-        return out
-
-    G = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                hi = hs[i]
-                G[i, j] = (
-                    u_i(i, w, shift(s, i, hi)) - 2.0 * u_i(i, w, s) + u_i(i, w, shift(s, i, -hi))
-                ) / hi**2
-            else:
-                hi, hj = hs[i], hs[j]
-                pp = u_i(i, w, shift(shift(s, i, hi), j, hj))
-                pm = u_i(i, w, shift(shift(s, i, hi), j, -hj))
-                mp = u_i(i, w, shift(shift(s, i, -hi), j, hj))
-                mm = u_i(i, w, shift(shift(s, i, -hi), j, -hj))
-                G[i, j] = (pp - pm - mp + mm) / (4.0 * hi * hj)
-
-    Gt = np.empty((m, m))
-    for k in range(m):
-        for l in range(m):
-            if k == l:
-                hk = hw[k]
-                Gt[k, l] = (
-                    acc_sum(shift(w, k, hk), s) - 2.0 * acc_sum(w, s) + acc_sum(shift(w, k, -hk), s)
-                ) / hk**2
-            else:
-                hk, hl = hw[k], hw[l]
-                pp = acc_sum(shift(shift(w, k, hk), l, hl), s)
-                pm = acc_sum(shift(shift(w, k, hk), l, -hl), s)
-                mp = acc_sum(shift(shift(w, k, -hk), l, hl), s)
-                mm = acc_sum(shift(shift(w, k, -hk), l, -hl), s)
-                Gt[k, l] = (pp - pm - mp + mm) / (4.0 * hk * hl)
-    Gt /= n
-
-    H = np.empty((n, m))
-    for i in range(n):
-        hi = hs[i]
-        for k in range(m):
-            hk = hw[k]
-            pp = u_i(i, shift(w, k, hk), shift(s, i, hi))
-            pm = u_i(i, shift(w, k, hk), shift(s, i, -hi))
-            mp = u_i(i, shift(w, k, -hk), shift(s, i, hi))
-            mm = u_i(i, shift(w, k, -hk), shift(s, i, -hi))
-            H[i, k] = (pp - pm - mp + mm) / (4.0 * hk * hi)
-
-    Ht = np.empty((m, n))
-    for k in range(m):
-        hk = hw[k]
-        for j in range(n):
-            hj = hs[j]
-            pp = acc_sum(shift(w, k, hk), shift(s, j, hj))
-            pm = acc_sum(shift(w, k, hk), shift(s, j, -hj))
-            mp = acc_sum(shift(w, k, -hk), shift(s, j, hj))
-            mm = acc_sum(shift(w, k, -hk), shift(s, j, -hj))
-            Ht[k, j] = (pp - pm - mp + mm) / (4.0 * hk * hj)
+    d2 = _second_difference
+    G = np.array([[d2(u(i), x, h, m + i, m + j) for j in range(n)] for i in range(n)])
+    Gt = np.array([[d2(acc_sum, x, h, k, l) for l in range(m)] for k in range(m)]) / n
+    H = np.array([[d2(u(i), x, h, k, m + i) for k in range(m)] for i in range(n)])
+    Ht = np.array([[d2(acc_sum, x, h, k, m + j) for j in range(n)] for k in range(m)])
 
     for name, arr in (("G", G), ("G_tilde", Gt), ("H", H), ("H_tilde", Ht)):
         if not np.all(np.isfinite(arr)):

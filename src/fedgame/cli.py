@@ -104,13 +104,16 @@ def _summary_line(trace) -> str:
 
 
 def cmd_run(args) -> int:
+    if args.listen and args.connect:
+        raise ConfigError("--listen and --connect cannot be combined")
     built, text, stem = _built(args)
     if args.connect:
         if args.agent_id is None:
             raise ConfigError("--connect requires --agent-id")
         host, port = _parse_hostport(args.connect)
         status = federation.connect_agent(
-            built.game, args.agent_id, built.run, host, port, timeout=args.timeout
+            built.game, args.agent_id, built.run, host, port, timeout=args.timeout,
+            notify=lambda msg: print(f"error: {msg}", file=sys.stderr),
         )
         return EXIT_OK if status == 0 else EXIT_RUNTIME
     if args.listen:
@@ -147,15 +150,7 @@ def cmd_serve(args) -> int:
 def cmd_agent(args) -> int:
     if not args.connect:
         raise ConfigError("agent requires --connect host:port")
-    if args.agent_id is None:
-        raise ConfigError("agent requires --agent-id")
-    built, _text, _stem = _built(args)
-    host, port = _parse_hostport(args.connect)
-    status = federation.connect_agent(
-        built.game, args.agent_id, built.run, host, port, timeout=args.timeout,
-        notify=lambda msg: print(f"error: {msg}", file=sys.stderr),
-    )
-    return EXIT_OK if status == 0 else EXIT_RUNTIME
+    return cmd_run(args)
 
 
 def cmd_sweep(args) -> int:

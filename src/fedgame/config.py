@@ -1,10 +1,14 @@
 """Scenario files: INI schema, typed parsing, canonical rendering.
 
 The scenario format has four sections: [instance] (the game), [run] (the
-dynamic and its knobs), [init] (starting point) and [output].  Unknown
-sections or keys are rejected rather than ignored so typos cannot silently
-change an experiment.  render() emits every key in canonical form and
-parse_scenario(render_scenario(cfg)) reproduces cfg exactly.
+dynamic and its knobs), [init] (starting point) and [output].  Each
+ScenarioConfig field declares one key: its section, its default text, the
+reader that types and bounds it, and for family- or cost-specific keys the
+earlier key and values under which it applies.  Parsing and rendering are
+one loop over those fields.  Unknown sections or keys, and keys that do not
+apply, are rejected rather than ignored so typos cannot silently change an
+experiment.  render_scenario() emits every key that applies in canonical
+form and parse_scenario(render_scenario(cfg)) reproduces cfg exactly.
 
 All run randomness (random cost draws, random starting points, dataset
 synthesis) flows from the single [run] seed.
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from math import ceil, isfinite
 
 import numpy as np
@@ -28,371 +32,290 @@ COST_KINDS = ("linear", "polynomial", "random-linear")
 PAYMENT_KINDS = ("none", "linear")
 OUTPUT_FORMATS = ("csv", "json")
 
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "instance": (
-        "n", "m", "accuracy", "theta", "r", "sigma0",
-        "features", "classes", "separation", "test_size", "data_seed",
-        "cost", "cost_coeffs", "cost_scale", "s_max", "payment", "beta",
-    ),
-    "run": (
-        "algorithm", "gamma", "eta", "rounds", "eps", "eps_s",
-        "phase1_cap", "seed", "updater", "w_grad_at", "learn_rate",
-    ),
-    "init": ("w0", "w0_scale", "s0", "s0_lo", "s0_hi"),
-    "output": ("out_dir", "formats"),
-}
+# A reader turns a key's stripped text (its default text when the key is
+# absent; None when there is no default) into the typed value.  `got` holds
+# the values of the keys declared before it.
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Typed, fully resolved scenario.  Vector-valued fields are per-agent
-    tuples even when the file used scalar broadcast shorthand."""
-
-    # [instance]
-    n: int
-    m: int
-    accuracy: str
-    s_max: tuple[float, ...]
-    r: tuple[float, ...]
-    theta: tuple[float, ...] | None = None
-    sigma0: float = 1e-6
-    features: int = 2
-    classes: int = 2
-    separation: float = 3.0
-    test_size: int = 200
-    data_seed: int | None = None
-    cost: str = "linear"
-    cost_coeffs: tuple = ()
-    cost_scale: float = 0.1
-    payment: str = "none"
-    beta: float = 0.0
-    # [run]
-    algorithm: str = "upbred"
-    gamma: float = 0.5
-    eta: float = 0.25
-    rounds: int = 1000
-    eps: float = 1e-6
-    eps_s: float = 1e-9
-    phase1_cap: int | None = None
-    seed: int = 0
-    updater: str = "analytic"
-    w_grad_at: str = "updated"
-    learn_rate: float = 0.1
-    # [init]
-    w0: tuple[float, ...] | str = "zeros"
-    w0_scale: float = 1.0
-    s0: tuple[float, ...] | str = "random"
-    s0_lo: float = 1.0 / 3.0
-    s0_hi: float = 2.0 / 3.0
-    # [output]
-    out_dir: str = "out"
-    formats: tuple[str, ...] = ("csv", "json")
+def _need(raw: str | None, name: str) -> str:
+    if raw is None:
+        raise ConfigError(f"{name} is required")
+    return raw
 
 
-def _parse_floats(text: str, what: str) -> tuple[float, ...]:
+def _int(lo: int | None = None):
+    def read(raw, name, got):
+        try:
+            v = int(_need(raw, name))
+        except ValueError:
+            raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+        if lo is not None and v < lo:
+            raise ConfigError(f"{name} must be >= {lo}")
+        return v
+
+    return read
+
+
+def _float(positive: bool = False):
+    """A finite number, positive or else nonnegative."""
+
+    def read(raw, name, got):
+        try:
+            v = float(_need(raw, name))
+        except ValueError:
+            raise ConfigError(f"{name} must be a number, got {raw!r}") from None
+        if not isfinite(v):
+            raise ConfigError(f"{name} must be finite, got {raw!r}")
+        if v < 0.0 or (positive and v == 0.0):
+            raise ConfigError(f"{name} must be {'positive' if positive else 'nonnegative'}")
+        return v
+
+    return read
+
+
+def _optional(read):
+    """`read`, or None for the text "none"."""
+    return lambda raw, name, got: None if raw == "none" else read(raw, name, got)
+
+
+def _choice(options: tuple[str, ...]):
+    def read(raw, name, got):
+        if raw not in options:
+            raise ConfigError(f"unknown {name} {raw!r}; expected one of {', '.join(options)}")
+        return raw
+
+    return read
+
+
+def _text(raw, name, got):
+    return raw
+
+
+def _floats(raw: str, name: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in text.split(","))
+        return tuple(float(tok) for tok in raw.split(","))
     except ValueError as exc:
-        raise ConfigError(f"{what}: bad float list {text!r}: {exc}") from None
+        raise ConfigError(f"{name}: bad float list {raw!r}: {exc}") from None
 
 
-def _broadcast(vals: tuple[float, ...], n: int, what: str) -> tuple[float, ...]:
+def _broadcast(vals: tuple, name: str, got) -> tuple:
+    """One entry per agent; a single entry stands for all of them."""
+    n = got["n"]
     if len(vals) == 1:
         return vals * n
     if len(vals) != n:
-        raise ConfigError(f"{what} needs 1 or {n} entries, got {len(vals)}")
+        raise ConfigError(f"{name} needs 1 or {n} entries, got {len(vals)}")
     return vals
 
 
-def _fmt_floats(vals) -> str:
-    return ",".join(repr(float(v)) for v in vals)
+def _per_agent(raw, name, got):
+    return _broadcast(_floats(_need(raw, name), name), name, got)
 
 
-def _get(section, key: str, default: str | None = None) -> str | None:
-    if section is None or key not in section:
-        return default
-    return section[key].strip()
+def _per_parameter(raw, name, got):
+    vals = _floats(_need(raw, name), name)
+    if len(vals) != got["m"]:
+        raise ConfigError(f"{name} needs {got['m']} entries, got {len(vals)}")
+    return vals
 
 
-def _typed_float(raw: str, key: str, positive: bool = False, nonneg: bool = False) -> float:
-    try:
-        v = float(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {raw!r}") from None
-    if not isfinite(v):
-        raise ConfigError(f"{key} must be finite, got {raw!r}")
-    if positive and v <= 0.0:
-        raise ConfigError(f"{key} must be positive")
-    if nonneg and v < 0.0:
-        raise ConfigError(f"{key} must be nonnegative")
-    return v
+def _read_m(raw, name, got):
+    """Required for the quadratic family; classes * features for the
+    empirical one, which an explicit value must match."""
+    if got["accuracy"] == "quadratic":
+        return _int(lo=1)(raw, name, got)
+    m = got["features"] * got["classes"]
+    if raw is not None and _int()(raw, name, got) != m:
+        raise ConfigError(f"{name}={raw} conflicts with classes*features={m}")
+    return m
 
 
-def _typed_int(raw: str, key: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
+def _read_r(raw, name, got):
+    """Per-agent accuracy ceilings; absent, 1 for the quadratic family and
+    log(classes) for the empirical one."""
+    if raw is None and got["accuracy"] == "empirical":
+        return (float(np.log(got["classes"])),) * got["n"]
+    return _per_agent("1.0" if raw is None else raw, name, got)
+
+
+def _read_s_max(raw, name, got):
+    s_max = _per_agent(raw, name, got)
+    if any(v <= 0.0 or not isfinite(v) for v in s_max):
+        raise ConfigError(f"{name} entries must be finite and positive")
+    return s_max
+
+
+def _read_cost_coeffs(raw, name, got):
+    """Per-agent slopes for linear costs; for polynomial costs one
+    comma-separated group per agent, groups separated by ';'."""
+    if got["cost"] == "linear":
+        return _per_agent(raw, name, got)
+    groups = tuple(_floats(g, name) for g in _need(raw, name).split(";"))
+    return _broadcast(groups, name, got)
+
+
+def _read_w0(raw, name, got):
+    return raw if raw in ("zeros", "random") else _per_parameter(raw, name, got)
+
+
+def _read_s0(raw, name, got):
+    if raw == "random":
+        return raw
+    s0 = _per_agent(raw, name, got)
+    for v, hi in zip(s0, got["s_max"]):
+        if v < 0.0 or v > hi:
+            raise ConfigError(f"{name} outside the contribution box")
+    return s0
+
+
+def _read_formats(raw, name, got):
+    formats = tuple(tok.strip() for tok in raw.split(","))
+    for f in formats:
+        if f not in OUTPUT_FORMATS:
+            raise ConfigError(f"unknown {name} entry {f!r}")
+    return formats
+
+
+def _key(section: str, default: str | None, read, when: tuple | None = None):
+    """Declare one scenario key.  `when` = (earlier key, values) limits the
+    key to scenarios where that key takes one of those values; elsewhere it
+    must be absent and its field holds None."""
+    return field(metadata={"section": section, "default": default, "read": read, "when": when})
+
+
+_QUADRATIC = ("accuracy", ("quadratic",))
+_EMPIRICAL = ("accuracy", ("empirical",))
+
+
+@dataclass(frozen=True, kw_only=True)
+class ScenarioConfig:
+    """Typed, fully resolved scenario.  Vector-valued fields are per-agent
+    tuples even when the file used scalar broadcast shorthand.  Fields are
+    in parsing order: a reader may look at any field above it."""
+
+    n: int = _key("instance", None, _int(lo=1))
+    accuracy: str = _key("instance", "quadratic", _choice(ACCURACY_FAMILIES))
+    features: int | None = _key("instance", "2", _int(lo=1), _EMPIRICAL)
+    classes: int | None = _key("instance", "2", _int(lo=2), _EMPIRICAL)
+    m: int = _key("instance", None, _read_m)
+    theta: tuple[float, ...] | None = _key("instance", None, _per_parameter, _QUADRATIC)
+    sigma0: float | None = _key("instance", "1e-06", _float(), _QUADRATIC)
+    separation: float | None = _key("instance", "3.0", _float(positive=True), _EMPIRICAL)
+    test_size: int | None = _key("instance", "200", _int(lo=1), _EMPIRICAL)
+    data_seed: int | None = _key("instance", "none", _optional(_int()), _EMPIRICAL)
+    r: tuple[float, ...] = _key("instance", None, _read_r)
+    s_max: tuple[float, ...] = _key("instance", "1.0", _read_s_max)
+    cost: str = _key("instance", "linear", _choice(COST_KINDS))
+    cost_coeffs: tuple | None = _key(
+        "instance", None, _read_cost_coeffs, ("cost", ("linear", "polynomial"))
+    )
+    cost_scale: float | None = _key(
+        "instance", "0.1", _float(positive=True), ("cost", ("random-linear",))
+    )
+    payment: str = _key("instance", "none", _choice(PAYMENT_KINDS))
+    beta: float = _key("instance", "0.0", _float())
+    # [run]: the algorithm plus one key per RunConfig field
+    algorithm: str = _key("run", "upbred", _choice(ALGORITHMS))
+    gamma: float = _key("run", "0.5", _float(positive=True))
+    eta: float = _key("run", "0.25", _float(positive=True))
+    rounds: int = _key("run", "1000", _int(lo=0))
+    eps: float = _key("run", "1e-06", _float(positive=True))
+    eps_s: float = _key("run", "1e-09", _float(positive=True))
+    phase1_cap: int | None = _key("run", "none", _optional(_int(lo=1)))
+    seed: int = _key("run", "0", _int())
+    updater: str = _key("run", "analytic", _choice(UPDATERS))
+    w_grad_at: str = _key("run", "updated", _choice(W_GRAD_CHOICES))
+    learn_rate: float = _key("run", "0.1", _float(positive=True))
+    w0: tuple[float, ...] | str = _key("init", "zeros", _read_w0)
+    w0_scale: float = _key("init", "1.0", _float(positive=True))
+    s0: tuple[float, ...] | str = _key("init", "random", _read_s0)
+    s0_lo: float = _key("init", repr(1.0 / 3.0), _float())
+    s0_hi: float = _key("init", repr(2.0 / 3.0), _float())
+    out_dir: str = _key("output", "out", _text)
+    formats: tuple[str, ...] = _key("output", "csv,json", _read_formats)
+
+
+_FIELDS = fields(ScenarioConfig)
+_SECTION_OF = {f.name: f.metadata["section"] for f in _FIELDS}
+
+
+def _applies(f, values: dict) -> bool:
+    when = f.metadata["when"]
+    return when is None or values[when[0]] in when[1]
 
 
 def parse_scenario(text: str, overrides: list[str] | None = None) -> ScenarioConfig:
-    """Parse scenario text, apply key=value overrides, validate everything."""
+    """Parse scenario text, apply section.key=value overrides, validate
+    everything."""
     parser = configparser.ConfigParser(strict=True, interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from None
+    given: dict[str, str] = {}  # key names are unique across sections
     for sec in parser.sections():
-        if sec not in _SCHEMA:
+        if sec not in _SECTION_OF.values():
             raise ConfigError(f"unknown section [{sec}]")
-        for key in parser[sec]:
-            if key not in _SCHEMA[sec]:
+        for key, value in parser.items(sec, raw=True):
+            if _SECTION_OF.get(key) != sec:
                 raise ConfigError(f"unknown key {sec}.{key}")
+            given[key] = value
     for ov in overrides or []:
-        if "=" not in ov:
+        dotted, eq, value = ov.partition("=")
+        sec, dot, key = dotted.partition(".")
+        if not (eq and dot):
             raise ConfigError(f"override must look like section.key=value: {ov!r}")
-        dotted, value = ov.split("=", 1)
-        if "." not in dotted:
-            raise ConfigError(f"override must look like section.key=value: {ov!r}")
-        sec, key = dotted.split(".", 1)
         sec, key = sec.strip(), key.strip()
-        if sec not in _SCHEMA or key not in _SCHEMA[sec]:
+        if _SECTION_OF.get(key) != sec:
             raise ConfigError(f"unknown override target {sec}.{key}")
-        if sec not in parser:
-            parser.add_section(sec)
-        parser[sec][key] = value.strip()
-    return _typify(parser)
+        given[key] = value
 
+    got: dict = {}
+    for f in _FIELDS:
+        meta, raw = f.metadata, given.get(f.name)
+        name = f"{meta['section']}.{f.name}"
+        if not _applies(f, got):
+            if raw is not None:
+                key, values = meta["when"]
+                raise ConfigError(
+                    f"{name} only applies when {meta['section']}.{key} is {' or '.join(values)}"
+                )
+            got[f.name] = None
+            continue
+        got[f.name] = meta["read"](meta["default"] if raw is None else raw.strip(), name, got)
+    cfg = ScenarioConfig(**got)
 
-def _typify(parser: configparser.ConfigParser) -> ScenarioConfig:
-    inst = parser["instance"] if "instance" in parser else None
-    run = parser["run"] if "run" in parser else None
-    init = parser["init"] if "init" in parser else None
-    outp = parser["output"] if "output" in parser else None
-    if inst is None:
-        raise ConfigError("missing required section [instance]")
-
-    n_raw = _get(inst, "n")
-    if n_raw is None:
-        raise ConfigError("instance.n is required")
-    n = _typed_int(n_raw, "instance.n")
-    if n < 1:
-        raise ConfigError("instance.n must be >= 1")
-
-    accuracy = _get(inst, "accuracy", "quadratic")
-    if accuracy not in ACCURACY_FAMILIES:
-        raise ConfigError(f"unknown instance.accuracy {accuracy!r}")
-
-    features = classes = None
-    sigma0 = 1e-6
-    separation, test_size = 3.0, 200
-    data_seed: int | None = None
-    theta: tuple[float, ...] | None = None
-
-    if accuracy == "quadratic":
-        for bad in ("features", "classes", "separation", "test_size", "data_seed"):
-            if _get(inst, bad) is not None:
-                raise ConfigError(f"instance.{bad} only applies to the empirical family")
-        m_raw = _get(inst, "m")
-        if m_raw is None:
-            raise ConfigError("instance.m is required for the quadratic family")
-        m = _typed_int(m_raw, "instance.m")
-        theta_raw = _get(inst, "theta")
-        if theta_raw is None:
-            raise ConfigError("instance.theta is required for the quadratic family")
-        if m < 1:
-            raise ConfigError("instance.m must be >= 1")
-        theta = _parse_floats(theta_raw, "instance.theta")
-        if len(theta) != m:
-            raise ConfigError(f"instance.theta needs {m} entries, got {len(theta)}")
-        sigma0 = _typed_float(_get(inst, "sigma0", repr(1e-6)), "instance.sigma0", nonneg=True)
-        r = _broadcast(_parse_floats(_get(inst, "r", "1.0"), "instance.r"), n, "instance.r")
-        features, classes = 2, 2  # unused placeholders kept at defaults
-    else:
-        for bad in ("theta", "sigma0"):
-            if _get(inst, bad) is not None:
-                raise ConfigError(f"instance.{bad} only applies to the quadratic family")
-        features = _typed_int(_get(inst, "features", "2"), "instance.features")
-        classes = _typed_int(_get(inst, "classes", "2"), "instance.classes")
-        if features < 1:
-            raise ConfigError("instance.features must be >= 1")
-        if classes < 2:
-            raise ConfigError("instance.classes must be >= 2")
-        expected_m = features * classes
-        m_raw = _get(inst, "m")
-        m = _typed_int(m_raw, "instance.m") if m_raw is not None else expected_m
-        if m != expected_m:
-            raise ConfigError(
-                f"instance.m={m} conflicts with classes*features={expected_m}"
-            )
-        separation = _typed_float(_get(inst, "separation", "3.0"), "instance.separation", positive=True)
-        test_size = _typed_int(_get(inst, "test_size", "200"), "instance.test_size")
-        if test_size < 1:
-            raise ConfigError("instance.test_size must be >= 1")
-        ds_raw = _get(inst, "data_seed", "none")
-        data_seed = None if ds_raw == "none" else _typed_int(ds_raw, "instance.data_seed")
-        r_default = _fmt_floats([float(np.log(classes))])
-        r = _broadcast(_parse_floats(_get(inst, "r", r_default), "instance.r"), n, "instance.r")
-
-    s_max = _broadcast(_parse_floats(_get(inst, "s_max", "1.0"), "instance.s_max"), n, "instance.s_max")
-    if any(v <= 0.0 or not isfinite(v) for v in s_max):
-        raise ConfigError("instance.s_max entries must be finite and positive")
-
-    cost = _get(inst, "cost", "linear")
-    if cost not in COST_KINDS:
-        raise ConfigError(f"unknown instance.cost {cost!r}")
-    cost_scale = 0.1
-    cost_coeffs: tuple = ()
-    if cost == "random-linear":
-        if _get(inst, "cost_coeffs") is not None:
-            raise ConfigError("instance.cost_coeffs cannot be combined with random-linear costs")
-        cost_scale = _typed_float(_get(inst, "cost_scale", "0.1"), "instance.cost_scale", positive=True)
-    else:
-        if _get(inst, "cost_scale") is not None:
-            raise ConfigError("instance.cost_scale only applies to random-linear costs")
-        raw = _get(inst, "cost_coeffs")
-        if raw is None:
-            raise ConfigError("instance.cost_coeffs is required for explicit costs")
-        if cost == "linear":
-            cost_coeffs = _broadcast(_parse_floats(raw, "instance.cost_coeffs"), n, "instance.cost_coeffs")
-        else:
-            groups = tuple(_parse_floats(g, "instance.cost_coeffs") for g in raw.split(";"))
-            if len(groups) == 1:
-                groups = groups * n
-            if len(groups) != n:
-                raise ConfigError(f"instance.cost_coeffs needs 1 or {n} groups, got {len(groups)}")
-            cost_coeffs = groups
-
-    payment = _get(inst, "payment", "none")
-    if payment not in PAYMENT_KINDS:
-        raise ConfigError(f"unknown instance.payment {payment!r}")
-    beta = _typed_float(_get(inst, "beta", "0.0"), "instance.beta", nonneg=True)
-    if payment == "none" and beta != 0.0:
+    if cfg.payment == "none" and cfg.beta != 0.0:
         raise ConfigError("instance.beta must be 0 when instance.payment = none")
-    if payment == "linear" and n < 2:
+    if cfg.payment == "linear" and cfg.n < 2:
         raise ConfigError("instance.payment = linear needs instance.n >= 2")
-
-    algorithm = _get(run, "algorithm", "upbred")
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown run.algorithm {algorithm!r}")
-    gamma = _typed_float(_get(run, "gamma", "0.5"), "run.gamma", positive=True)
-    eta = _typed_float(_get(run, "eta", "0.25"), "run.eta", positive=True)
-    rounds = _typed_int(_get(run, "rounds", "1000"), "run.rounds")
-    if rounds < 0:
-        raise ConfigError("run.rounds must be >= 0")
-    eps = _typed_float(_get(run, "eps", repr(1e-6)), "run.eps", positive=True)
-    eps_s = _typed_float(_get(run, "eps_s", repr(1e-9)), "run.eps_s", positive=True)
-    cap_raw = _get(run, "phase1_cap", "none")
-    phase1_cap = None if cap_raw == "none" else _typed_int(cap_raw, "run.phase1_cap")
-    if phase1_cap is not None and phase1_cap < 1:
-        raise ConfigError("run.phase1_cap must be >= 1 when given")
-    seed = _typed_int(_get(run, "seed", "0"), "run.seed")
-    updater = _get(run, "updater", "analytic")
-    if updater not in UPDATERS:
-        raise ConfigError(f"unknown run.updater {updater!r}")
-    if updater == "empirical" and accuracy != "empirical":
+    if cfg.updater == "empirical" and cfg.accuracy != "empirical":
         raise ConfigError("run.updater = empirical requires instance.accuracy = empirical")
-    w_grad_at = _get(run, "w_grad_at", "updated")
-    if w_grad_at not in W_GRAD_CHOICES:
-        raise ConfigError(f"unknown run.w_grad_at {w_grad_at!r}")
-    learn_rate = _typed_float(_get(run, "learn_rate", "0.1"), "run.learn_rate", positive=True)
-
-    w0_raw = _get(init, "w0", "zeros")
-    w0: tuple[float, ...] | str
-    if w0_raw in ("zeros", "random"):
-        w0 = w0_raw
-    else:
-        w0 = _parse_floats(w0_raw, "init.w0")
-        if len(w0) != m:
-            raise ConfigError(f"init.w0 needs {m} entries, got {len(w0)}")
-    w0_scale = _typed_float(_get(init, "w0_scale", "1.0"), "init.w0_scale", positive=True)
-    s0_raw = _get(init, "s0", "random")
-    s0: tuple[float, ...] | str
-    if s0_raw == "random":
-        s0 = "random"
-    else:
-        s0 = _broadcast(_parse_floats(s0_raw, "init.s0"), n, "init.s0")
-        for v, hi in zip(s0, s_max):
-            if v < 0.0 or v > hi:
-                raise ConfigError("init.s0 outside the contribution box")
-    s0_lo = _typed_float(_get(init, "s0_lo", repr(1.0 / 3.0)), "init.s0_lo", nonneg=True)
-    s0_hi = _typed_float(_get(init, "s0_hi", repr(2.0 / 3.0)), "init.s0_hi", nonneg=True)
-    if not (s0_lo <= s0_hi <= 1.0):
+    if not cfg.s0_lo <= cfg.s0_hi <= 1.0:
         raise ConfigError("need 0 <= init.s0_lo <= init.s0_hi <= 1")
+    return cfg
 
-    out_dir = _get(outp, "out_dir", "out")
-    formats = tuple(tok.strip() for tok in _get(outp, "formats", "csv,json").split(","))
-    for f in formats:
-        if f not in OUTPUT_FORMATS:
-            raise ConfigError(f"unknown output.formats entry {f!r}")
 
-    return ScenarioConfig(
-        n=n, m=m, accuracy=accuracy, s_max=s_max, r=r, theta=theta, sigma0=sigma0,
-        features=features, classes=classes, separation=separation,
-        test_size=test_size, data_seed=data_seed,
-        cost=cost, cost_coeffs=cost_coeffs, cost_scale=cost_scale,
-        payment=payment, beta=beta,
-        algorithm=algorithm, gamma=gamma, eta=eta, rounds=rounds, eps=eps,
-        eps_s=eps_s, phase1_cap=phase1_cap, seed=seed, updater=updater,
-        w_grad_at=w_grad_at, learn_rate=learn_rate,
-        w0=w0, w0_scale=w0_scale, s0=s0, s0_lo=s0_lo, s0_hi=s0_hi,
-        out_dir=out_dir, formats=formats,
-    )
+def _render(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, (str, int, float)):
+        return value if isinstance(value, str) else repr(value)
+    if value and isinstance(value[0], tuple):
+        return ";".join(_render(group) for group in value)
+    return ",".join(_render(v) for v in value)
 
 
 def render_scenario(cfg: ScenarioConfig) -> str:
-    """Canonical INI text; every relevant key appears explicitly."""
+    """Canonical INI text; every key that applies appears explicitly."""
     parser = configparser.ConfigParser(interpolation=None)
-    inst: dict[str, str] = {
-        "n": str(cfg.n),
-        "m": str(cfg.m),
-        "accuracy": cfg.accuracy,
-    }
-    if cfg.accuracy == "quadratic":
-        inst["theta"] = _fmt_floats(cfg.theta)
-        inst["sigma0"] = repr(cfg.sigma0)
-    else:
-        inst["features"] = str(cfg.features)
-        inst["classes"] = str(cfg.classes)
-        inst["separation"] = repr(cfg.separation)
-        inst["test_size"] = str(cfg.test_size)
-        inst["data_seed"] = "none" if cfg.data_seed is None else str(cfg.data_seed)
-    inst["r"] = _fmt_floats(cfg.r)
-    inst["s_max"] = _fmt_floats(cfg.s_max)
-    inst["cost"] = cfg.cost
-    if cfg.cost == "random-linear":
-        inst["cost_scale"] = repr(cfg.cost_scale)
-    elif cfg.cost == "linear":
-        inst["cost_coeffs"] = _fmt_floats(cfg.cost_coeffs)
-    else:
-        inst["cost_coeffs"] = ";".join(_fmt_floats(g) for g in cfg.cost_coeffs)
-    inst["payment"] = cfg.payment
-    inst["beta"] = repr(cfg.beta)
-    parser["instance"] = inst
-    parser["run"] = {
-        "algorithm": cfg.algorithm,
-        "gamma": repr(cfg.gamma),
-        "eta": repr(cfg.eta),
-        "rounds": str(cfg.rounds),
-        "eps": repr(cfg.eps),
-        "eps_s": repr(cfg.eps_s),
-        "phase1_cap": "none" if cfg.phase1_cap is None else str(cfg.phase1_cap),
-        "seed": str(cfg.seed),
-        "updater": cfg.updater,
-        "w_grad_at": cfg.w_grad_at,
-        "learn_rate": repr(cfg.learn_rate),
-    }
-    parser["init"] = {
-        "w0": cfg.w0 if isinstance(cfg.w0, str) else _fmt_floats(cfg.w0),
-        "w0_scale": repr(cfg.w0_scale),
-        "s0": cfg.s0 if isinstance(cfg.s0, str) else _fmt_floats(cfg.s0),
-        "s0_lo": repr(cfg.s0_lo),
-        "s0_hi": repr(cfg.s0_hi),
-    }
-    parser["output"] = {
-        "out_dir": cfg.out_dir,
-        "formats": ",".join(cfg.formats),
-    }
+    values = vars(cfg)
+    for f in _FIELDS:
+        if _applies(f, values):
+            sec = f.metadata["section"]
+            if not parser.has_section(sec):
+                parser.add_section(sec)
+            parser[sec][f.name] = _render(values[f.name])
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
@@ -456,11 +379,7 @@ def build_scenario(cfg: ScenarioConfig) -> BuiltScenario:
         AgentSpec(i, float(s_max[i]), float(s0[i])) for i in range(cfg.n)
     )
     game = GameInstance(agents=agents, accuracy=accuracy, cost=cost, payment=payment, m=cfg.m)
-    run = RunConfig(
-        gamma=cfg.gamma, eta=cfg.eta, rounds=cfg.rounds, eps=cfg.eps,
-        eps_s=cfg.eps_s, phase1_cap=cfg.phase1_cap, seed=cfg.seed,
-        updater=cfg.updater, w_grad_at=cfg.w_grad_at, learn_rate=cfg.learn_rate,
-    )
+    run = RunConfig(**{f.name: getattr(cfg, f.name) for f in fields(RunConfig)})
     return BuiltScenario(game=game, run=run, algorithm=cfg.algorithm, w0=w0, s0=s0, cfg=cfg)
 
 

@@ -171,7 +171,7 @@ def payment(rule: PaymentRule, s: np.ndarray, i: int) -> float:
         return 0.0
     if n < 2:
         raise ConfigError("linear transfers require at least two agents")
-    return _transfer(rule.beta, n, float(s[i]), float(s.sum()))
+    return _transfer(rule.beta, n, float(s[i]), float(np.add.reduce(s)))
 
 
 def payment_vector(rule: PaymentRule, s: np.ndarray) -> np.ndarray:
@@ -194,7 +194,7 @@ def utility(g: GameInstance, i: int, w: np.ndarray, s: np.ndarray) -> UtilityRep
     cost = g.cost.value(i, float(s[i]))
     pay = payment(g.payment, s, i)
     rep = UtilityReport.build(acc, cost, pay)
-    if not np.isfinite(rep.utility):
+    if not isfinite(rep.utility):
         raise NumericError(f"non-finite utility for agent {i}")
     return rep
 

@@ -27,7 +27,7 @@ import queue
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -203,19 +203,7 @@ def _best_effort(channel, ftype: str, payload: dict) -> None:
 
 def derive_run_id(g: GameInstance, cfg: RunConfig, algorithm: str) -> str:
     blob = json.dumps(
-        {
-            "digest": instance_digest(g),
-            "algorithm": algorithm,
-            "gamma": cfg.gamma,
-            "eta": cfg.eta,
-            "rounds": cfg.rounds,
-            "eps": cfg.eps,
-            "eps_s": cfg.eps_s,
-            "seed": cfg.seed,
-            "updater": cfg.updater,
-            "w_grad_at": cfg.w_grad_at,
-            "learn_rate": cfg.learn_rate,
-        },
+        {"digest": instance_digest(g), "algorithm": algorithm, **asdict(cfg)},
         sort_keys=True,
         separators=(",", ":"),
     )

@@ -107,8 +107,9 @@ class QuadraticAccuracy:
 
     # The per-agent forms compute only the output they return: finite-
     # difference curvature estimation makes tens of thousands of value calls.
+    # np.add.reduce is the reduction ndarray.sum runs, minus its Python wrapper.
     def _denom(self, s: np.ndarray) -> float:
-        d = self.sigma0 + float(np.asarray(s).sum())
+        d = self.sigma0 + float(np.add.reduce(np.asarray(s), axis=None))
         if d <= 0.0:
             raise ModelEvalError("singular denominator: sigma0 + sum(s) <= 0")
         return d

@@ -12,7 +12,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -135,18 +135,7 @@ def run_manifest(trace, config_text: str | None = None, extra: dict | None = Non
     final = trace.final
     info = {
         "instance": trace.instance,
-        "run": {
-            "gamma": cfg.gamma,
-            "eta": cfg.eta,
-            "rounds": cfg.rounds,
-            "eps": cfg.eps,
-            "eps_s": cfg.eps_s,
-            "phase1_cap": cfg.phase1_cap,
-            "seed": cfg.seed,
-            "updater": cfg.updater,
-            "w_grad_at": cfg.w_grad_at,
-            "learn_rate": cfg.learn_rate,
-        },
+        "run": asdict(cfg),
         "outcome": trace.outcome,
         "error": trace.error,
         "rounds_recorded": len(trace.records),

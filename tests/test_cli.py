@@ -299,3 +299,13 @@ def test_module_entry_point():
     assert proc.returncode == 0
     for command in ("run", "sweep", "certify", "bounds", "diagnose"):
         assert command in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["run", "serve", "agent"])
+def test_listen_and_connect_are_exclusive(command, capsys):
+    code = run_cli(
+        command, "--config", "example1-upbred",
+        "--listen", "127.0.0.1:0", "--connect", "127.0.0.1:1", "--agent-id", "0",
+    )
+    assert code == 1
+    assert "--listen and --connect" in capsys.readouterr().err

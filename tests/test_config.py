@@ -16,6 +16,7 @@ from fedgame.config import (
 )
 from fedgame.core import ConfigError
 from fedgame.dynamics import RunConfig
+from fedgame.scenarios import builtin_names, builtin_text
 
 MINIMAL_QUADRATIC = """
 [instance]
@@ -70,6 +71,21 @@ def test_round_trip_is_identity():
     for text in (MINIMAL_QUADRATIC, EMPIRICAL):
         cfg = parse_scenario(text)
         assert parse_scenario(render_scenario(cfg)) == cfg
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_bundled_scenarios_round_trip(name):
+    cfg = parse_scenario(builtin_text(name))
+    assert parse_scenario(render_scenario(cfg)) == cfg
+
+
+def test_keys_that_do_not_apply_hold_none():
+    quadratic = parse_scenario(MINIMAL_QUADRATIC)
+    assert quadratic.features is None and quadratic.test_size is None
+    assert quadratic.cost_scale is None
+    empirical = parse_scenario(EMPIRICAL)
+    assert empirical.theta is None and empirical.sigma0 is None
+    assert "theta" not in render_scenario(empirical)
 
 
 def test_round_trip_preserves_exact_floats():

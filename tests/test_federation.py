@@ -4,6 +4,7 @@ import json
 import socket
 import threading
 import time
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -135,6 +136,19 @@ def test_derive_run_id_sensitivity(example_game):
     assert len(base) == 32 and base == derive_run_id(example_game, cfg, "upbred")
     assert base != derive_run_id(example_game, cfg, "fedavg")
     assert base != derive_run_id(example_game, cfg_for(seed=1), "upbred")
+
+
+def test_derive_run_id_covers_every_run_parameter(example_game):
+    cfg = cfg_for()
+    changed = {
+        "gamma": 0.5, "eta": 0.5, "rounds": 51, "eps": 0.2, "eps_s": 1e-8,
+        "phase1_cap": 5, "seed": 1, "updater": "empirical", "w_grad_at": "current",
+        "learn_rate": 0.2,
+    }
+    assert set(changed) == {f.name for f in fields(RunConfig)}
+    base = derive_run_id(example_game, cfg, "upbred")
+    for name, value in changed.items():
+        assert derive_run_id(example_game, replace(cfg, **{name: value}), "upbred") != base, name
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Digest stability, trace CSV round trips, run manifests."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -127,3 +128,10 @@ def test_manifest_extra_fields(example_game):
     man = run_manifest(trace, extra={"note": "x"})
     assert man["note"] == "x"
     assert "config_sha256" not in man
+
+
+def test_manifest_run_record_is_every_run_config_field(example_game):
+    trace = small_trace(example_game)
+    run = run_manifest(trace)["run"]
+    assert list(run) == [f.name for f in fields(RunConfig)]
+    assert run == {f.name: getattr(trace.config, f.name) for f in fields(RunConfig)}
