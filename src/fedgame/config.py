@@ -32,9 +32,10 @@ COST_KINDS = ("linear", "polynomial", "random-linear")
 PAYMENT_KINDS = ("none", "linear")
 OUTPUT_FORMATS = ("csv", "json")
 
-# A reader turns a key's stripped text (its default text when the key is
-# absent; None when there is no default) into the typed value.  `got` holds
-# the values of the keys declared before it.
+# A reader is called as read(raw, name, got): raw is the key's stripped text
+# (its default text when the key is absent; None when it has no default),
+# name is "section.key" for messages, and got holds the values of the keys
+# declared before it.  It returns the typed value or raises ConfigError.
 
 
 def _need(raw: str | None, name: str) -> str:
@@ -299,8 +300,10 @@ def parse_scenario(text: str, overrides: list[str] | None = None) -> ScenarioCon
 def _render(value) -> str:
     if value is None:
         return "none"
-    if isinstance(value, (str, int, float)):
-        return value if isinstance(value, str) else repr(value)
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, float)):
+        return repr(value)
     if value and isinstance(value[0], tuple):
         return ";".join(_render(group) for group in value)
     return ",".join(_render(v) for v in value)

@@ -131,11 +131,10 @@ def read_trace_csv(path) -> TraceTable:
 
 def run_manifest(trace, config_text: str | None = None, extra: dict | None = None) -> dict:
     """Reproducibility record for one finished run."""
-    cfg = trace.config
     final = trace.final
     info = {
         "instance": trace.instance,
-        "run": asdict(cfg),
+        "run": asdict(trace.config),
         "outcome": trace.outcome,
         "error": trace.error,
         "rounds_recorded": len(trace.records),
