@@ -56,6 +56,25 @@ CASES = {
         "f473026a07cc8c22206f610283d0c8816136ad65250fc50d51d498afbadb82cb",
         "Error", 4, "round 3: contribution phase exceeded its cap of 3 rounds; agent 0",
     ),
+    # 9 and 130 classes: the class sums of the log-sum-exp and the softmax
+    # go through numpy's eight-accumulator and halving pairwise branches
+    "empirical-small-9-classes": (
+        "empirical-small", ("instance.classes=9",),
+        "ce0254ebcb321a6e50e26c2dd645785edb01a3fc28e21f01d17b7f9a8e3bd527",
+        "MaxRounds", 26, None,
+    ),
+    "empirical-small-130-classes": (
+        "empirical-small", ("instance.classes=130",),
+        "02cb2dc5268666d9e28691a481e501d41e8bc1436163f5055af63ea59d8f1d56",
+        "MaxRounds", 26, None,
+    ),
+    # the empirical family ignores s, so the gradient taken at the current
+    # profile equals the one at the updated profile
+    "empirical-small-current": (
+        "empirical-small", ("run.w_grad_at=current",),
+        "9d5a8cc842f16bf76a5cd9c55514613df60ea2d7ac510e914b69da6311169335",
+        "MaxRounds", 26, None,
+    ),
     # both contributions shrink to zero after about a thousand rounds; the
     # agents' gradient at the emptied pool is singular
     "example1-upbred-singular": (
@@ -191,8 +210,16 @@ def test_golden_inprocess_federation_quad5_equals_local():
     assert digest(fed.trace) == CASES["quad5"][2]
 
 
+def test_golden_inprocess_federation_empirical_equals_local():
+    b = built("empirical-small")
+    fed = run_inprocess_federation(b.game, b.run, b.algorithm, b.w0, b.s0, timeout=10.0)
+    assert fed.agent_status == [0] * 3
+    assert digest(fed.trace) == CASES["empirical-small"][2]
+
+
 @pytest.mark.parametrize("name", sorted(BOUNDS))
 def test_golden_bounds_output(name, capsys):
     assert main(["bounds", "--config", name, "--samples", "16"]) == 3  # the region is empty
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BOUNDS[name]
+
