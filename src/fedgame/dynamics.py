@@ -161,12 +161,16 @@ class _AgentSteps:
             for i, d_i, hi in zip(self._id_list, d, self._s_hi)
         ]
 
-    def _empirical_step(self, w: np.ndarray, s: np.ndarray) -> list[float]:
+    def _empirical_step(self, w: np.ndarray, s: np.ndarray) -> tuple[list[float], np.ndarray]:
+        """Difference-quotient contributions and each agent's w-gradient.
+        The test loss at w and the gradient come from one fused pass; the
+        family's gradient ignores s, so it serves either w_grad_at."""
         g = self.game
         out = []
+        grads = np.empty((len(self._id_list), g.m))
         for r, i in enumerate(self._id_list):
             s_i = float(s[i])
-            loss_before = g.accuracy.test_loss(i, w)
+            loss_before, grads[r] = g.accuracy.test_loss_and_grad_w(i, w)
             trained = g.accuracy.local_training_step(i, w, s_i, self.cfg.learn_rate)
             # no previous contribution yet: a zero step makes the quotient fall back
             s_prev = s_i if self._prev_s[r] is None else self._prev_s[r]
@@ -176,7 +180,7 @@ class _AgentSteps:
             )
             self._prev_s[r] = s_i
             out.append(nxt)
-        return out
+        return out, grads
 
     def _checked(self, grads: np.ndarray) -> np.ndarray:
         if not np.isfinite(grads).all():
@@ -194,11 +198,12 @@ class _AgentSteps:
         s = np.asarray(s, dtype=float)
         s_next = grads = rows = None
         if phase == "single" and self.cfg.updater == "empirical":
-            s_next = self._empirical_step(w, s)
+            s_next, grads = self._empirical_step(w, s)
+            grads = self._checked(grads)
         elif phase != "2":
             rows = self._evaluate(w, s)
             s_next = self._analytic_step(s, rows[1])
-        if phase != "1":
+        if phase != "1" and grads is None:
             if phase == "single" and self.cfg.w_grad_at == "updated":
                 rows = self._evaluate(w, s, s_next)
             elif rows is None:

@@ -4,6 +4,11 @@ Two accuracy families are provided: a closed-form quadratic bowl whose
 precision grows with total contribution, and an empirical family that scores
 a linear classifier on per-agent synthetic test sets.  Cost models are convex
 with zero cost at zero contribution.
+
+The empirical family's cross-entropy kernel works class-major: the logits
+are held as a (classes, rows) array, and the sums over classes add in the
+order numpy's pairwise sum adds one (rows, classes) row (see _class_sum),
+so every result is bit for bit that of the row-major layout.
 """
 
 from __future__ import annotations
@@ -299,44 +304,81 @@ def _as_weight_matrix(w: np.ndarray, n_classes: int, n_features: int) -> np.ndar
     return w.reshape(n_classes, n_features)
 
 
+# The cross-entropy kernel.  After the gemm the logits are copied once to a
+# C-contiguous (classes, rows) array, so every per-example reduction runs
+# along axis 0 over whole contiguous rows, not along a few-wide inner axis.
+# Maxima, tie counts, exp and the label gather do not depend on the layout;
+# every sum whose order does goes through _class_sum.
+
+
 def _logits(w: np.ndarray, ds: SyntheticDataset, n_classes: int) -> np.ndarray:
-    return ds.features @ _as_weight_matrix(w, n_classes, ds.n_features).T
+    """Class-major logits: entry [k, j] is class k's logit for example j."""
+    W = _as_weight_matrix(w, n_classes, ds.n_features)
+    return np.ascontiguousarray((ds.features @ W.T).T)
+
+
+def _class_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the classes (axis 0) of a class-major array, added in the
+    order numpy's pairwise sum adds one row of the row-major layout: left to
+    right below 8 classes; up to 128, eight accumulators combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then the remainder left to
+    right; above 128, the two halves, the first cut to a multiple of 8.
+    (numpy also adds the result to +0.0, which only changes an all -0.0
+    sum; the terms summed here are never -0.0.)"""
+    n = x.shape[0]
+    if n < 8:
+        return np.add.reduce(x, axis=0)
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _class_sum(x[:half]) + _class_sum(x[half:])
+    acc = x[:8].copy()
+    end = n - n % 8
+    for k in range(8, end, 8):
+        acc += x[k:k + 8]
+    out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for k in range(end, n):
+        out += x[k]
+    return out
 
 
 def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row maxima (as a column) and exp(logits - row maximum)."""
-    top = logits.max(axis=1, keepdims=True)
+    """Per-example maxima and exp(logits - maximum), class-major."""
+    top = logits.max(axis=0)
     return top, np.exp(logits - top)
 
 
 def _logsumexp_rows(logits: np.ndarray, top: np.ndarray, shifted: np.ndarray) -> np.ndarray:
-    """Log-sum-exp of each row, bit for bit what scipy.special.logsumexp
-    returns: the maximal terms are split out, the rest summed, divided by
-    the number of maxima and passed through log1p, and a non-finite result
-    is replaced by the direct log(sum(exp))."""
+    """Log-sum-exp of each example's logits (a column of the class-major
+    array), bit for bit what scipy.special.logsumexp returns over a row of
+    the row-major one: the maximal terms are split out, the rest summed,
+    divided by the number of maxima and passed through log1p, and a
+    non-finite result is replaced by the direct log(sum(exp))."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         is_top = logits == top
-        ties = is_top.sum(axis=1, keepdims=True, dtype=float)
-        rest = np.where(is_top, 0.0, shifted).sum(axis=1, keepdims=True)
+        ties = is_top.sum(axis=0, dtype=float)
+        rest = _class_sum(np.where(is_top, 0.0, shifted))
         rest = np.where(rest == 0.0, rest, rest / ties)
-        out = (np.log1p(rest) + np.log(ties) + top)[:, 0]
+        out = np.log1p(rest) + np.log(ties) + top
         bad = ~np.isfinite(out)
         if bad.any():
-            out = np.where(bad, np.log(np.exp(logits).sum(axis=1)), out)
+            out = np.where(bad, np.log(_class_sum(np.exp(logits))), out)
     return out
 
 
 def _mean_loss(logits: np.ndarray, lse: np.ndarray, ds: SyntheticDataset) -> float:
-    picked = logits[np.arange(ds.size), ds.labels]
+    picked = logits[ds.labels, np.arange(ds.size)]
     return float(np.mean(lse - picked))
 
 
 def _loss_grad(shifted: np.ndarray, ds: SyntheticDataset) -> np.ndarray:
-    """Gradient of the mean cross-entropy; overwrites shifted."""
+    """Gradient of the mean cross-entropy; overwrites shifted.  The gemm
+    takes the probabilities row-major, as (rows, classes).T @ features:
+    the same product from the class-major array rounds differently."""
     probs = shifted
-    probs /= probs.sum(axis=1, keepdims=True)
-    probs[np.arange(ds.size), ds.labels] -= 1.0
-    grad = probs.T @ ds.features / ds.size
+    probs /= _class_sum(probs)
+    probs[ds.labels, np.arange(ds.size)] -= 1.0
+    grad = np.ascontiguousarray(probs.T).T @ ds.features / ds.size
     return grad.reshape(-1)
 
 
@@ -430,6 +472,11 @@ class EmpiricalAccuracy:
 
     def test_loss(self, i: int, w: np.ndarray) -> float:
         return cross_entropy(w, self.test_sets[i], self.n_classes)
+
+    def test_loss_and_grad_w(self, i: int, w: np.ndarray) -> tuple[float, np.ndarray]:
+        """test_loss and grad_w (at any s) from one fused pass."""
+        loss, grad = _cross_entropy_and_grad(w, self.test_sets[i], self.n_classes)
+        return loss, -grad
 
     def local_training_step(
         self, i: int, w: np.ndarray, s_i: float, learn_rate: float

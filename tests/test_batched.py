@@ -6,6 +6,7 @@ at any n; a remote agent evaluates only its own row.
 """
 
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from fedgame import models
 from fedgame.analysis import GOLDEN_XTOL, _golden_max, _own_utility, _scan, best_response
 from fedgame.core import AgentSpec, GameInstance, ModelEvalError, PaymentRule
 from fedgame.dynamics import AgentWorker, LocalPool, RunConfig, run_dynamic
@@ -49,7 +51,8 @@ def random_quadratic(rng, n, m, sigma0):
 
 
 def random_empirical(rng, n):
-    classes = int(rng.integers(2, 5))
+    # up to 20 classes: the class sums take both of numpy's pairwise branches
+    classes = int(rng.integers(2, 21))
     features = int(rng.integers(1, 4))
     train, test = synth_dataset(
         int(rng.integers(0, 1000)), n, int(rng.integers(1, 30)), int(rng.integers(1, 60)),
@@ -108,15 +111,25 @@ def test_empirical_evaluate_matches_per_agent_methods(seed, n, k, zero_w):
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=SEEDS, rows=st.integers(1, 50), cols=st.integers(1, 9),
-       scale=st.sampled_from([1e-3, 1.0, 30.0, 800.0]), ties=st.booleans())
-def test_logsumexp_rows_matches_scipy_bit_for_bit(seed, rows, cols, scale, ties):
+@given(seed=SEEDS, rows=st.integers(1, 50), cols=st.integers(1, 300),
+       scale=st.sampled_from([1e-3, 1.0, 30.0, 800.0, 1e300]), ties=st.booleans(),
+       infinite=st.booleans())
+def test_logsumexp_rows_matches_scipy_bit_for_bit(seed, rows, cols, scale, ties, infinite):
     rng = np.random.default_rng(seed)
     logits = rng.normal(size=(rows, cols)) * scale
     if ties:
         logits = np.round(logits)  # repeated maxima in many rows
-    top, shifted = _shifted_exp(logits)
-    assert same(_logsumexp_rows(logits, top, shifted), logsumexp(logits, axis=1))
+    if infinite:
+        u = rng.random((rows, cols))
+        logits[u < 0.1] = np.inf
+        logits[u > 0.9] = -np.inf
+        logits[rng.random(rows) < 0.2] = -np.inf  # rows with no finite term
+    # the kernel is class-major: one column per row of logits
+    class_major = np.ascontiguousarray(logits.T)
+    with np.errstate(invalid="ignore"):
+        top, shifted = _shifted_exp(class_major)
+        expected = logsumexp(logits, axis=1)
+    assert same(_logsumexp_rows(class_major, top, shifted), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +180,68 @@ def test_pool_step_matches_per_agent_workers(phase, updater, w_grad_at, seed):
                 assert same(a.d, b.d)
         if phase != "2":
             s = np.clip(np.array([rep.s_next for rep in batched]), 0.0, game.s_max)
+        w = w + 0.1 * rng.normal(size=game.m)
+
+
+# ---------------------------------------------------------------------------
+# The empirical step: one fused test-set pass per agent-round.
+
+
+def empirical_config(w_grad_at):
+    return RunConfig(gamma=0.5, eta=0.5, rounds=5, updater="empirical", w_grad_at=w_grad_at,
+                     learn_rate=0.2)
+
+
+@pytest.mark.parametrize("w_grad_at", ["updated", "current"])
+@settings(max_examples=20, deadline=None)
+@given(seed=SEEDS)
+def test_empirical_step_gradients_are_evaluate_rows(w_grad_at, seed):
+    rng = np.random.default_rng(seed)
+    game, s = step_game(rng, "empirical")
+    pool = LocalPool(game, empirical_config(w_grad_at))
+    ids = np.arange(game.n)
+    w = rng.normal(size=game.m)
+    for t in range(2):
+        replies = pool.step(t, "single", w, s)
+        s_next = np.array([rep.s_next for rep in replies])
+        S = s[None, :].repeat(game.n, axis=0)
+        if w_grad_at == "updated":
+            S[ids, ids] = s_next
+        grads = game.accuracy.evaluate(ids, w, S)[2]
+        for rep in replies:
+            assert same(rep.d, grads[rep.agent_id])
+        s = np.clip(s_next, 0.0, game.s_max)
+        w = w + 0.1 * rng.normal(size=game.m)
+
+
+@pytest.mark.parametrize("w_grad_at", ["updated", "current"])
+def test_empirical_step_makes_one_fused_pass_per_agent(monkeypatch, w_grad_at):
+    passes = Counter()
+    for name in ("_cross_entropy_and_grad", "cross_entropy", "cross_entropy_grad"):
+        def counted(*args, _name=name, _original=getattr(models, name)):
+            passes[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(models, name, counted)
+    rng = np.random.default_rng(11)
+    game, _ = step_game(rng, "empirical")
+    s = rng.uniform(0.5, 1.0, game.n) * game.s_max  # every agent trains on some rows
+    cfg = empirical_config(w_grad_at)
+    pool = LocalPool(game, cfg)
+    workers = [AgentWorker(game, i, cfg) for i in range(game.n)]
+    w = rng.normal(size=game.m)
+    for t in range(3):
+        passes.clear()
+        pool.step(t, "single", w, s)
+        # per agent: the fused loss-and-gradient pass at w, the loss at the
+        # trained model and the training gradient
+        expected = {"_cross_entropy_and_grad": game.n, "cross_entropy": game.n,
+                    "cross_entropy_grad": game.n}
+        assert passes == expected
+        passes.clear()
+        for wk in workers:
+            wk.step(t, "single", w, s)
+        assert passes == expected
         w = w + 0.1 * rng.normal(size=game.m)
 
 
