@@ -94,9 +94,12 @@ def _text(raw, name, got):
 
 def _floats(raw: str, name: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in raw.split(","))
+        vals = tuple(float(tok) for tok in raw.split(","))
     except ValueError as exc:
         raise ConfigError(f"{name}: bad float list {raw!r}: {exc}") from None
+    if not all(map(isfinite, vals)):
+        raise ConfigError(f"{name} entries must be finite, got {raw!r}")
+    return vals
 
 
 def _broadcast(vals: tuple, name: str, got) -> tuple:
@@ -141,8 +144,8 @@ def _read_r(raw, name, got):
 
 def _read_s_max(raw, name, got):
     s_max = _per_agent(raw, name, got)
-    if any(v <= 0.0 or not isfinite(v) for v in s_max):
-        raise ConfigError(f"{name} entries must be finite and positive")
+    if any(v <= 0.0 for v in s_max):
+        raise ConfigError(f"{name} entries must be positive")
     return s_max
 
 
