@@ -1,6 +1,9 @@
 """Shared fixtures: the two-agent running example, a five-agent quadratic
 instance, and a separable game with hand-computable curvature constants."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for num, name, status in sorted(ACCEPTANCE_RESULTS):
         terminalreporter.write_line(f"criterion {num:02d} {name}: {status}")
+
+
+def src_env() -> dict:
+    """This environment with the checkout's src/ first on PYTHONPATH, so a
+    child interpreter imports the package under test also when pytest put
+    src/ on its own sys.path only (the pythonpath setting in pyproject)."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def quadratic_game(

@@ -11,6 +11,8 @@ import pytest
 from fedgame.cli import main
 from fedgame.traceio import read_trace_csv
 
+from conftest import src_env
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -260,7 +262,7 @@ def test_tcp_run_matches_local(tmp_path):
     center = subprocess.Popen(
         [sys.executable, "-m", "fedgame", "run", "--config", "example1-upbred",
          "--listen", "127.0.0.1:0", "--out", str(fed_dir), "--timeout", "30"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=src_env(),
     )
     try:
         banner = center.stdout.readline()
@@ -294,7 +296,7 @@ def test_tcp_run_matches_local(tmp_path):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "fedgame", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=src_env(),
     )
     assert proc.returncode == 0
     for command in ("run", "sweep", "certify", "bounds", "diagnose"):

@@ -5,12 +5,13 @@ names a function the package no longer has fails here.  Full runs take
 seconds each and are left out.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -18,13 +19,9 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
 def test_script_help_runs(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [sys.executable, str(script), "--help"],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=src_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
