@@ -2,7 +2,8 @@
 
 evaluate, the pool step and the best-response scan each agree bit for bit
 with their per-agent forms; a round makes the same number of oracle calls
-at any n; a remote agent evaluates only its own row.
+at any n; a remote agent evaluates only its own row; the empirical step's
+reply gradients are evaluate rows, taken from one fused test-set pass.
 """
 
 import threading
@@ -230,13 +231,13 @@ def test_empirical_step_makes_one_fused_pass_per_agent(monkeypatch, w_grad_at):
     pool = LocalPool(game, cfg)
     workers = [AgentWorker(game, i, cfg) for i in range(game.n)]
     w = rng.normal(size=game.m)
+    # per agent: the fused loss-and-gradient pass at w, the loss at the
+    # trained model and the training gradient
+    expected = {"_cross_entropy_and_grad": game.n, "cross_entropy": game.n,
+                "cross_entropy_grad": game.n}
     for t in range(3):
         passes.clear()
         pool.step(t, "single", w, s)
-        # per agent: the fused loss-and-gradient pass at w, the loss at the
-        # trained model and the training gradient
-        expected = {"_cross_entropy_and_grad": game.n, "cross_entropy": game.n,
-                    "cross_entropy_grad": game.n}
         assert passes == expected
         passes.clear()
         for wk in workers:

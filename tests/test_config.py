@@ -328,8 +328,7 @@ REJECTIONS = {
     "s0-outside-box": (MINIMAL_QUADRATIC, ["init.s0=0.5,1.5"], "init.s0"),
     "s0-lo-above-hi": (MINIMAL_QUADRATIC, ["init.s0_lo=0.9", "init.s0_hi=0.1"], "init.s0_lo"),
     "unknown-format": (MINIMAL_QUADRATIC, ["output.formats=csv,xml"], "output.formats"),
-    # non-finite list entries: before, r and theta reached the instance digest
-    # (an uncaught JSON error) and a NaN s0 passed the box check
+    # a non-finite entry in any float list
     "r-infinite": (MINIMAL_QUADRATIC, ["instance.r=inf"], "instance.r"),
     "r-minus-infinite": (MINIMAL_QUADRATIC, ["instance.r=1.0,-inf"], "instance.r"),
     "theta-nan": (MINIMAL_QUADRATIC, ["instance.theta=nan,0"], "instance.theta"),
