@@ -199,7 +199,6 @@ class _AgentSteps:
         s_next = grads = rows = None
         if phase == "single" and self.cfg.updater == "empirical":
             s_next, grads = self._empirical_step(w, s)
-            grads = self._checked(grads)
         elif phase != "2":
             rows = self._evaluate(w, s)
             s_next = self._analytic_step(s, rows[1])
@@ -208,7 +207,9 @@ class _AgentSteps:
                 rows = self._evaluate(w, s, s_next)
             elif rows is None:
                 rows = self._evaluate(w, s)
-            grads = self._checked(rows[2])
+            grads = rows[2]
+        if grads is not None:
+            grads = self._checked(grads)
         return [
             AgentReply(
                 i,

@@ -318,28 +318,15 @@ def _logits(w: np.ndarray, ds: SyntheticDataset, n_classes: int) -> np.ndarray:
 
 
 def _class_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the classes (axis 0) of a class-major array, added in the
-    order numpy's pairwise sum adds one row of the row-major layout: left to
-    right below 8 classes; up to 128, eight accumulators combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and then the remainder left to
-    right; above 128, the two halves, the first cut to a multiple of 8.
-    (numpy also adds the result to +0.0, which only changes an all -0.0
-    sum; the terms summed here are never -0.0.)"""
-    n = x.shape[0]
-    if n < 8:
+    """Sum over the classes (axis 0) of a class-major array, bit for bit
+    numpy's sum of one row of the row-major layout.  Below 8 classes that
+    sum adds left to right, as the reduction along axis 0 does (numpy also
+    adds the result to +0.0, which only changes an all -0.0 sum; the terms
+    summed here are never -0.0); from 8 on its pairwise order is kept by
+    summing the row-major copy itself."""
+    if x.shape[0] < 8:
         return np.add.reduce(x, axis=0)
-    if n > 128:
-        half = n // 2
-        half -= half % 8
-        return _class_sum(x[:half]) + _class_sum(x[half:])
-    acc = x[:8].copy()
-    end = n - n % 8
-    for k in range(8, end, 8):
-        acc += x[k:k + 8]
-    out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for k in range(end, n):
-        out += x[k]
-    return out
+    return np.ascontiguousarray(x.T).sum(axis=1)
 
 
 def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
