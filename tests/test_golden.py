@@ -75,6 +75,24 @@ CASES = {
         "9d5a8cc842f16bf76a5cd9c55514613df60ea2d7ac510e914b69da6311169335",
         "MaxRounds", 26, None,
     ),
+    # polynomial costs at n > 1: the strategy derivative keeps Python's pow
+    # for the marginal cost row by row
+    "quad5-polynomial": (
+        "quad5", (
+            "run.algorithm=upbred", "instance.cost=polynomial",
+            "instance.cost_coeffs=0.02,0.01;0.04,0.01;0.06,0.0;0.08,0.02;0.1,0.01",
+            "run.rounds=300",
+        ),
+        "6cdaaf67f0491f028c2300c4bd2e62220970076f1570148d5a791df96d314f9c",
+        "MaxRounds", 301, None,
+    ),
+    # four agents sit on the floor s = 0 with a negative derivative, which
+    # the boundary correction zeroes every round
+    "quad5-floor": (
+        "quad5", ("run.algorithm=upbred", "instance.beta=0.03", "run.rounds=300"),
+        "97ea5de0ba3d7daf188ebcc0f712cb9624bacea84be886653f147edccac0e911",
+        "Converged", 208, None,
+    ),
     # both contributions shrink to zero after about a thousand rounds; the
     # agents' gradient at the emptied pool is singular
     "example1-upbred-singular": (
