@@ -20,6 +20,11 @@ if TYPE_CHECKING:
 # Absolute tolerance for comparisons against box bounds.
 BOUND_TOL = 1e-12
 
+# Row count from which strategy_derivatives takes its numpy form: below it
+# numpy's fixed per-call cost (about 12 us for the whole form) exceeds the
+# loop's (about 0.6 us a row).
+VECTOR_ROWS = 20
+
 
 class GameError(Exception):
     """Base class for errors raised by this package."""
@@ -238,19 +243,31 @@ def social_welfare(g: GameInstance, w: np.ndarray, s: np.ndarray) -> float:
 
 def strategy_derivatives(
     g: GameInstance, idx: np.ndarray, s: np.ndarray, dsi: np.ndarray
-) -> list[float]:
+) -> np.ndarray:
     """Boundary-corrected derivative of each agent idx[r]'s utility in its
     own contribution at profile s, given its accuracy slope dsi[r].
 
     d u_i / d s_i = d a_i / d s_i - c_i'(s_i) + beta, forced to zero when it
     points out of the box (negative at s_i = 0 or positive at s_i = s_i_max).
-    The arithmetic runs on Python floats, row by row: a remote agent steps
-    one row per round, where numpy's per-call overhead would cost several
-    times the arithmetic.
+    Linear costs at VECTOR_ROWS rows or more take a numpy form.  Polynomial
+    costs and fewer rows (a remote agent steps one) take a loop over Python
+    floats: numpy's power can differ from libm pow in the last bit, and a
+    few rows would pay numpy's per-call overhead many times over.  Both
+    forms give the same bits, and a row that fails (a non-finite derivative,
+    or a contribution below zero) raises from the loop, so either form names
+    the same first failing agent.
     """
     beta = g.payment.beta
+    idx = np.asarray(idx, dtype=np.intp)
+    if len(idx) >= VECTOR_ROWS and g.cost.kind == "linear":
+        x = np.asarray(s, dtype=float)[idx]
+        d = np.asarray(dsi, dtype=float) - g.cost.slopes[idx] + beta
+        if np.isfinite(d).all() and not (x < -1e-12).any():
+            out_lo = (d < 0.0) & (np.abs(x) <= BOUND_TOL)
+            out_hi = (d > 0.0) & (np.abs(x - g.s_max[idx]) <= BOUND_TOL)
+            return np.where(out_lo | out_hi, 0.0, d)
     out = []
-    for i, slope in zip(np.asarray(idx).tolist(), np.asarray(dsi).tolist()):
+    for i, slope in zip(idx.tolist(), np.asarray(dsi).tolist()):
         s_i = float(s[i])
         d = slope - g.cost.deriv(i, s_i) + beta
         if not isfinite(d):
@@ -260,13 +277,13 @@ def strategy_derivatives(
         elif d > 0.0 and abs(s_i - g.agents[i].s_max) <= BOUND_TOL:
             d = 0.0
         out.append(d)
-    return out
+    return np.array(out)
 
 
 def strategy_gradient(g: GameInstance, w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Boundary-corrected strategy update direction, one entry per agent."""
     s = _as_profile(s)
-    return np.array(strategy_derivatives(g, g.ids, s, evaluate_profile(g, w, s)[1]))
+    return strategy_derivatives(g, g.ids, s, evaluate_profile(g, w, s)[1])
 
 
 def _mean_gradient(g: GameInstance, grads: np.ndarray) -> np.ndarray:
@@ -284,23 +301,23 @@ def welfare_gradient(g: GameInstance, w: np.ndarray, s: np.ndarray) -> np.ndarra
 
 def profile_state(
     g: GameInstance, s: np.ndarray, rows: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> tuple[tuple[UtilityReport, ...], float, list[float], np.ndarray]:
-    """(per-agent reports, welfare, strategy gradient, welfare gradient) at
-    profile s from rows = evaluate_profile(g, w, s); each part equals what
-    utility, social_welfare, strategy_gradient and welfare_gradient return."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
+    """(costs, payments, utilities, welfare, strategy gradient, welfare
+    gradient) at profile s from rows = evaluate_profile(g, w, s).  Entry i
+    of the first three is agent i's part of utility(g, i, w, s), and
+    utilities = values - costs + payments adds in the order it does; the
+    rest equal what social_welfare, strategy_gradient and welfare_gradient
+    return."""
     s = _as_profile(s)
     values, dsi, grads = rows
     costs = g.cost.values(g.ids, s)
     pays = payment_vector(g.payment, s)
-    reports = tuple(
-        UtilityReport.build(a, c, p)
-        for a, c, p in zip(values.tolist(), costs.tolist(), pays.tolist())
-    )
-    for i, rep in enumerate(reports):
-        if not isfinite(rep.utility):
-            raise NumericError(f"non-finite utility for agent {i}")
+    utilities = values - costs + pays
+    bad = ~np.isfinite(utilities)
+    if bad.any():
+        raise NumericError(f"non-finite utility for agent {int(np.argmax(bad))}")
     gv = strategy_derivatives(g, g.ids, s, dsi)
-    return reports, float(_left_sum(values)), gv, _mean_gradient(g, grads)
+    return costs, pays, utilities, float(_left_sum(values)), gv, _mean_gradient(g, grads)
 
 
 def clamp_profile(s_raw: np.ndarray, g: GameInstance) -> np.ndarray:

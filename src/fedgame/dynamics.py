@@ -15,9 +15,17 @@ how many updates it may take.  The four dynamics in ALGORITHMS:
 * fedavg: mechanism-free baseline; the center trains with contributions
   pinned at the ceiling and transfers removed.
 
-All of them share the per-round agent computation (AgentWorker).  A pool
-object hides where agents live; LocalPool calls workers in process, the
-federation module supplies a transport-backed drop-in.
+All of them share the per-round agent computation.  A pool object hides
+where agents live.  Its contract is
+
+    pool.step(t, phase, w, s, rows) -> (s_next, grads)
+
+with rows = evaluate_profile(g, w, s), which the round record has already
+computed, and the replies in id order: s_next, shape (n,), the unclamped
+next contributions, and grads, shape (n, m), the agents' accuracy gradients
+in w; a part the phase does not move is None.  LocalPool steps every agent
+in process and reuses rows; the federation module's RemotePool collects the
+same arrays from remote AgentWorkers over a transport and ignores rows.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from .core import (
     NumericError,
     PaymentRule,
     UtilityReport,
+    _left_sum,
     clamp_profile,
     evaluate_profile,
     profile_state,
@@ -91,16 +100,34 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """State snapshot at the start of round t, before that round's update."""
+    """State snapshot at the start of round t, before that round's update.
+
+    The per-agent columns hold entry i for agent i: accuracy, cost, payment
+    and utility = accuracy - cost + payment.
+    """
 
     t: int
     phase: str  # "1", "2" or "single"
     s: np.ndarray
     w: np.ndarray
-    reports: tuple[UtilityReport, ...]
+    accuracies: np.ndarray
+    costs: np.ndarray
+    payments: np.ndarray
+    utilities: np.ndarray
     welfare: float
     g_norm: float
     gt_norm: float
+
+    @property
+    def reports(self) -> tuple[UtilityReport, ...]:
+        """The per-agent columns as one UtilityReport per agent."""
+        return tuple(
+            UtilityReport(*parts)
+            for parts in zip(
+                self.accuracies.tolist(), self.costs.tolist(),
+                self.payments.tolist(), self.utilities.tolist(),
+            )
+        )
 
 
 @dataclass
@@ -123,11 +150,19 @@ class AgentReply:
     d: np.ndarray | None
 
 
+def _clamp(x: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """min(max(x, 0.0), hi) entry by entry.  np.where keeps what Python's
+    min and max return for -0.0 and NaN; np.maximum and np.minimum do not."""
+    y = np.where(0.0 > x, 0.0, x)
+    return np.where(hi < y, hi, y)
+
+
 class _AgentSteps:
     """Round computations for a set of agents, each using only its own data.
 
     One batched oracle call covers the whole set: LocalPool steps every
-    agent at once, a remote agent steps only its own id.  The set keeps the
+    agent at once, a remote agent steps only its own id.  step returns the
+    pool contract's (s_next, grads) for the set's ids.  The set keeps the
     small amount of state the numerical contribution updater needs (each
     agent's previous contribution and last difference quotient); analytic
     updates are stateless.
@@ -139,7 +174,7 @@ class _AgentSteps:
         self.cfg = cfg
         self._id_list = self.ids.tolist()
         self._rows = np.arange(len(self.ids))
-        self._s_hi = game.s_max[self.ids].tolist()
+        self._s_hi = game.s_max[self.ids]
         self._prev_s: list[float | None] = [None] * len(self.ids)
         self._last_quotient = [0.0] * len(self.ids)
 
@@ -153,21 +188,18 @@ class _AgentSteps:
             S[self._rows, self.ids] = own
         return self.game.accuracy.evaluate(self.ids, w, S)
 
-    def _analytic_step(self, s: np.ndarray, dsi: np.ndarray) -> list[float]:
+    def _analytic_step(self, s: np.ndarray, dsi: np.ndarray) -> np.ndarray:
         d = strategy_derivatives(self.game, self.ids, s, dsi)
-        gamma = self.cfg.gamma
-        return [
-            min(max(float(s[i]) + gamma * d_i, 0.0), hi)
-            for i, d_i, hi in zip(self._id_list, d, self._s_hi)
-        ]
+        return _clamp(s[self.ids] + self.cfg.gamma * d, self._s_hi)
 
-    def _empirical_step(self, w: np.ndarray, s: np.ndarray) -> tuple[list[float], np.ndarray]:
+    def _empirical_step(self, w: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Difference-quotient contributions and each agent's w-gradient.
         The test loss at w and the gradient come from one fused pass; the
         family's gradient ignores s, so it serves either w_grad_at."""
         g = self.game
         out = []
         grads = np.empty((len(self._id_list), g.m))
+        s_hi = self._s_hi.tolist()
         for r, i in enumerate(self._id_list):
             s_i = float(s[i])
             loss_before, grads[r] = g.accuracy.test_loss_and_grad_w(i, w)
@@ -176,11 +208,11 @@ class _AgentSteps:
             s_prev = s_i if self._prev_s[r] is None else self._prev_s[r]
             nxt, self._last_quotient[r] = empirical_strategy_update(
                 s_prev, s_i, loss_before, g.accuracy.test_loss(i, trained),
-                g.cost.deriv(i, s_i), g.payment.beta, self._s_hi[r], self._last_quotient[r],
+                g.cost.deriv(i, s_i), g.payment.beta, s_hi[r], self._last_quotient[r],
             )
             self._prev_s[r] = s_i
             out.append(nxt)
-        return out, grads
+        return np.array(out), grads
 
     def _checked(self, grads: np.ndarray) -> np.ndarray:
         if not np.isfinite(grads).all():
@@ -188,36 +220,32 @@ class _AgentSteps:
             raise NumericError(f"non-finite local gradient for agent {self.ids[np.argmax(bad)]}")
         return grads
 
-    def step(self, t: int, phase: str, w: np.ndarray, s: np.ndarray) -> list[AgentReply]:
+    def step(
+        self, t: int, phase: str, w: np.ndarray, s: np.ndarray, rows: tuple | None = None
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Phase "1" moves contributions, "2" returns gradients, "single"
         does both; the gradient is taken at the updated or the current
-        profile as cfg.w_grad_at says."""
+        profile as cfg.w_grad_at says.  rows, when given, are the set's
+        oracle rows at (w, s) and stand in for evaluating them again.  The
+        empirical step does not use them: its fused pass also yields the
+        loss, which rows do not carry."""
         if phase not in ("1", "2", "single"):
             raise ConfigError(f"unknown round phase {phase!r}")
         w = np.asarray(w, dtype=float)
         s = np.asarray(s, dtype=float)
-        s_next = grads = rows = None
         if phase == "single" and self.cfg.updater == "empirical":
             s_next, grads = self._empirical_step(w, s)
-        elif phase != "2":
+            return s_next, self._checked(grads)
+        if rows is None:
             rows = self._evaluate(w, s)
+        s_next = grads = None
+        if phase != "2":
             s_next = self._analytic_step(s, rows[1])
-        if phase != "1" and grads is None:
+        if phase != "1":
             if phase == "single" and self.cfg.w_grad_at == "updated":
                 rows = self._evaluate(w, s, s_next)
-            elif rows is None:
-                rows = self._evaluate(w, s)
-            grads = rows[2]
-        if grads is not None:
-            grads = self._checked(grads)
-        return [
-            AgentReply(
-                i,
-                None if s_next is None else s_next[r],
-                None if grads is None else grads[r],
-            )
-            for r, i in enumerate(self._id_list)
-        ]
+            grads = self._checked(rows[2])
+        return s_next, grads
 
 
 class AgentWorker:
@@ -230,51 +258,44 @@ class AgentWorker:
         self._steps = _AgentSteps(game, (agent_id,), cfg)
 
     def step(self, t: int, phase: str, w: np.ndarray, s: np.ndarray) -> AgentReply:
-        return self._steps.step(t, phase, w, s)[0]
+        s_next, grads = self._steps.step(t, phase, w, s)
+        return AgentReply(
+            self.i,
+            None if s_next is None else float(s_next[0]),
+            None if grads is None else grads[0],
+        )
 
 
 class LocalPool:
-    """In-process pool stepping every agent at once; replies in id order."""
+    """In-process pool stepping every agent at once (see the module
+    docstring for the step contract)."""
 
     def __init__(self, game: GameInstance, cfg: RunConfig) -> None:
         self._steps = _AgentSteps(game, range(game.n), cfg)
 
-    def step(self, t: int, phase: str, w: np.ndarray, s: np.ndarray) -> list[AgentReply]:
-        return self._steps.step(t, phase, w, s)
+    def step(
+        self, t: int, phase: str, w: np.ndarray, s: np.ndarray, rows: tuple | None = None
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        return self._steps.step(t, phase, w, s, rows)
 
     def close(self, ok: bool = True) -> None:
         pass
-
-
-def _aggregate_w(g: GameInstance, cfg: RunConfig, w: np.ndarray, replies: Sequence[AgentReply]) -> np.ndarray:
-    total = np.zeros(g.m, dtype=float)
-    for rep in sorted(replies, key=lambda r: r.agent_id):
-        if rep.d is None:
-            raise NumericError(f"agent {rep.agent_id} sent no gradient")
-        total = total + rep.d
-    return w + cfg.eta * (total / g.n)
-
-
-def _next_profile(g: GameInstance, replies: Sequence[AgentReply]) -> np.ndarray:
-    out = np.empty(g.n, dtype=float)
-    for rep in sorted(replies, key=lambda r: r.agent_id):
-        if rep.s_next is None:
-            raise NumericError(f"agent {rep.agent_id} sent no contribution")
-        out[rep.agent_id] = rep.s_next
-    return clamp_profile(out, g)
 
 
 def _round_record(
     g: GameInstance, t: int, phase: str, w: np.ndarray, s: np.ndarray, rows: tuple
 ) -> RoundRecord:
     """The record of (w, s), from rows = evaluate_profile(g, w, s)."""
-    reports, welfare, gv, gt = profile_state(g, s, rows)
+    costs, pays, utilities, welfare, gv, gt = profile_state(g, s, rows)
     return RoundRecord(
         t=t,
         phase=phase,
         s=np.array(s),
         w=np.array(w),
-        reports=reports,
+        accuracies=rows[0],
+        costs=costs,
+        payments=pays,
+        utilities=utilities,
         welfare=welfare,
         g_norm=float(np.linalg.norm(gv)),
         gt_norm=float(np.linalg.norm(gt)),
@@ -321,9 +342,11 @@ class Phase:
     """One stage of a dynamic: what it moves, what ends it, how long it runs.
 
     label is the phase recorded in the trace; sent is the phase the agents
-    are asked to compute, which also fixes what moves: agents answer "1"
-    with a contribution, "2" with a gradient and "single" with both.  Each
-    round of the stage, in this order:
+    are asked to compute, which also fixes what moves: the pool's
+    step(t, sent, w, s, rows) returns (s_next, grads), with s_next None
+    for "2" and grads None for "1", and "single" moves both.  s becomes
+    clamp_profile(s_next) and w moves by eta times the mean of the grads
+    rows, summed in id order.  Each round of the stage, in this order:
 
     * handover(s, rows), when set, runs before the round is recorded; rows
       are evaluate_profile at the round's state, which the record reuses.
@@ -377,7 +400,7 @@ def _schedule(g: GameInstance, cfg: RunConfig, algorithm: str, s0: np.ndarray) -
 
     else:  # fedavg-strategic: stop once no agent has a positive derivative
         def handover(s, rows):
-            return s if max(strategy_derivatives(g, g.ids, s, rows[1])) <= eps else None
+            return s if strategy_derivatives(g, g.ids, s, rows[1]).max() <= eps else None
 
         def lagging(w, s):
             gv = strategy_gradient(g, w, s)
@@ -426,11 +449,11 @@ def _run_phases(
                         f"contribution phase exceeded its cap of {ph.cap} rounds; "
                         f"{ph.lagging(w, s)}"
                     )
-                replies = pool.step(t, ph.sent, w, s)
+                s_next, grads = pool.step(t, ph.sent, w, s, rows)
                 if ph.sent != "2":
-                    s = _next_profile(g, replies)
+                    s = clamp_profile(s_next, g)
                 if ph.sent != "1":
-                    w = _aggregate_w(g, cfg, w, replies)
+                    w = w + cfg.eta * (_left_sum(grads) / g.n)
                 if not (np.all(np.isfinite(w)) and np.all(np.isfinite(s))):
                     raise NumericError(_NON_FINITE[ph.sent])
                 rows = None

@@ -28,11 +28,12 @@ import socket
 import threading
 import time
 from dataclasses import asdict, dataclass
+from math import isfinite
 
 import numpy as np
 
 from .core import ConfigError, FederationError, GameError, GameInstance
-from .dynamics import AgentReply, AgentWorker, RunConfig, run_dynamic
+from .dynamics import AgentWorker, RunConfig, run_dynamic
 from .traceio import instance_digest
 
 PROTOCOL_VERSION = 1
@@ -75,6 +76,29 @@ def _reject_constant(token: str):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
+def _finite(x) -> float | None:
+    """x as a float when it is a finite JSON number, else None.  JSON true
+    and false decode to bool, a subclass of int; a number beyond the double
+    range decodes to an infinite float or, written as an integer, to an int
+    that float() cannot convert."""
+    if type(x) is float:
+        return x if isfinite(x) else None
+    if type(x) is int:
+        try:
+            return float(x)
+        except OverflowError:
+            return None
+    return None
+
+
+def _finite_list(x, length: int) -> list[float] | None:
+    """x as `length` floats when it is a JSON list of finite numbers, else None."""
+    if not isinstance(x, list) or len(x) != length:
+        return None
+    out = [_finite(v) for v in x]
+    return None if None in out else out
+
+
 def decode_frame(line: bytes) -> tuple[str, dict]:
     if len(line) > MAX_FRAME_BYTES:
         raise DecodeError("frame exceeds 16 MiB", 0)
@@ -88,6 +112,8 @@ def decode_frame(line: bytes) -> tuple[str, dict]:
         obj = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise DecodeError(f"bad JSON: {exc.msg}", exc.pos) from None
+    except ValueError as exc:  # an integer literal past int's digit limit
+        raise DecodeError(f"bad JSON: {exc}", 0) from None
     if not isinstance(obj, dict):
         raise DecodeError("frame is not a JSON object", 0)
     ftype = obj.get("type")
@@ -218,7 +244,8 @@ class RemotePool:
     """Drop-in replacement for dynamics.LocalPool backed by agent channels.
 
     One reader thread per channel feeds a single queue; step() implements the
-    round barrier by waiting until every agent's report for round t arrived.
+    round barrier by waiting until every agent's report for round t arrived,
+    and returns the reports as the pool contract's (s_next, grads) arrays.
     """
 
     def __init__(
@@ -319,26 +346,37 @@ class RemotePool:
         for aid in sorted(self._by_agent):
             send_frame(self._by_agent[aid], "hello", ack)
 
-    def _parse_report(self, t: int, phase: str, payload: dict) -> AgentReply:
+    def _parse_report(
+        self, phase: str, payload: dict
+    ) -> tuple[float | None, list[float] | None]:
+        """(s_next, d) of a report, each None where the phase has none."""
         aid = payload.get("agent_id")
         s_next = payload.get("s_next")
         d = payload.get("d")
-        if phase in ("1", "single") and not isinstance(s_next, (int, float)):
-            raise FederationError(f"agent {aid}: report missing s_next in phase {phase}")
-        if phase == "2" and s_next is not None:
+        if phase in ("1", "single"):
+            s_next = _finite(s_next)
+            if s_next is None:
+                raise FederationError(
+                    f"agent {aid}: report s_next {payload.get('s_next')!r} is not a finite "
+                    f"number in phase {phase}"
+                )
+        elif s_next is not None:
             raise FederationError(f"agent {aid}: unexpected s_next in phase 2")
         if phase in ("2", "single"):
-            if not isinstance(d, list) or len(d) != self.game.m:
-                raise FederationError(f"agent {aid}: report carries no valid gradient")
+            d = _finite_list(d, self.game.m)
+            if d is None:
+                raise FederationError(
+                    f"agent {aid}: report gradient is not {self.game.m} finite numbers"
+                )
         elif d is not None:
             raise FederationError(f"agent {aid}: unexpected gradient in phase 1")
-        return AgentReply(
-            agent_id=int(aid),
-            s_next=None if s_next is None else float(s_next),
-            d=None if d is None else np.array([float(v) for v in d]),
-        )
+        return s_next, d
 
-    def step(self, t: int, phase: str, w: np.ndarray, s: np.ndarray) -> list[AgentReply]:
+    def step(
+        self, t: int, phase: str, w: np.ndarray, s: np.ndarray, rows: tuple | None = None
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """One round over the transport.  rows are not used: the agents
+        evaluate their own."""
         payload = {
             "run_id": self.run_id,
             "t": int(t),
@@ -348,13 +386,16 @@ class RemotePool:
         }
         for aid in sorted(self._by_agent):
             send_frame(self._by_agent[aid], "broadcast", payload)
-        replies: dict[int, AgentReply] = {}
+        n = self.game.n
+        s_next = None if phase == "2" else np.empty(n)
+        grads = None if phase == "1" else np.empty((n, self.game.m))
+        got: set[int] = set()
         deadline = time.monotonic() + self.timeout
-        while len(replies) < self.game.n:
+        while len(got) < n:
             try:
                 idx, kind, item = self._get(deadline)
             except queue.Empty:
-                missing = sorted(set(range(self.game.n)) - set(replies))
+                missing = sorted(set(range(n)) - got)
                 raise FederationError(
                     f"no report from agent(s) {missing} within {self.timeout}s"
                 ) from None
@@ -381,10 +422,15 @@ class RemotePool:
                 raise FederationError(
                     f"agent {aid} sent report claiming id {payload_in.get('agent_id')}"
                 )
-            if aid in replies:
+            if aid in got:
                 raise FederationError(f"agent {aid} sent a duplicate report for round {t}")
-            replies[aid] = self._parse_report(t, phase, payload_in)
-        return [replies[aid] for aid in sorted(replies)]
+            s_i, d_i = self._parse_report(phase, payload_in)
+            if s_next is not None:
+                s_next[aid] = s_i
+            if grads is not None:
+                grads[aid] = d_i
+            got.add(aid)
+        return s_next, grads
 
     def close(self, ok: bool = True) -> None:
         if self._done:
@@ -516,8 +562,8 @@ def run_agent(
             return 1
         t = payload.get("t")
         phase = payload.get("phase")
-        w = payload.get("w")
-        s = payload.get("s")
+        w = _finite_list(payload.get("w"), g.m)
+        s = _finite_list(payload.get("s"), g.n)
         if payload.get("run_id") != run_id:
             _best_effort(channel, "error", {"message": "broadcast run_id mismatch"})
             note("broadcast run_id mismatch")
@@ -526,11 +572,7 @@ def run_agent(
             _best_effort(channel, "error", {"message": "out-of-order broadcast"})
             note("out-of-order broadcast")
             return 1
-        if (
-            phase not in ("1", "2", "single")
-            or not isinstance(w, list) or len(w) != g.m
-            or not isinstance(s, list) or len(s) != g.n
-        ):
+        if phase not in ("1", "2", "single") or w is None or s is None:
             _best_effort(channel, "error", {"message": "malformed broadcast fields"})
             note("malformed broadcast fields")
             return 1

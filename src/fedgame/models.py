@@ -101,12 +101,11 @@ class QuadraticAccuracy:
         # row sums along the contiguous axis add in the same order as np.sum
         # of one profile, so every row matches its one-row evaluation
         denom = self.sigma0 + S.sum(axis=1)
-        dl = denom.tolist()
-        if any(d <= 0.0 for d in dl):
+        if (denom <= 0.0).any():
             raise ModelEvalError("singular denominator: sigma0 + sum(s) <= 0")
         values = self.r[np.asarray(idx, dtype=np.intp)] - sq / denom
         # Python's d ** 2 (libm pow) is not always d * d; keep its bits
-        dsi = np.array([sq / d ** 2 for d in dl])
+        dsi = np.array([sq / d ** 2 for d in denom.tolist()])
         grads = (2.0 * (self.theta - w)) / denom[:, None]
         return values, dsi, grads
 
@@ -145,7 +144,8 @@ class QuadraticAccuracy:
 class CostModel:
     """Convex per-agent contribution costs with c_i(0) = 0.
 
-    kind "linear": c_i(s) = coeff_i * s.
+    kind "linear": c_i(s) = coeff_i * s; slopes holds the coeff_i as an
+    array (read-only), for the vector forms.
     kind "polynomial": c_i(s) = sum_k coeffs_i[k] * s^(k+1) with all
     coefficients nonnegative, hence convex and nondecreasing on s >= 0.
     """
@@ -161,7 +161,9 @@ class CostModel:
             if any(c < 0.0 or not np.isfinite(c) for c in vals):
                 raise ConfigError("linear cost coefficients must be finite and >= 0")
             object.__setattr__(self, "coeffs", vals)
-            object.__setattr__(self, "_slopes", np.array(vals, dtype=float))
+            slopes = np.array(vals, dtype=float)
+            slopes.setflags(write=False)
+            object.__setattr__(self, "slopes", slopes)
         else:
             groups = tuple(tuple(float(c) for c in grp) for grp in self.coeffs)
             for grp in groups:
@@ -207,7 +209,7 @@ class CostModel:
         if (x < -1e-12).any():
             raise ConfigError("contribution below zero in cost evaluation")
         # np.where, unlike np.maximum, keeps max(-0.0, 0.0) == -0.0 as in value
-        return self._slopes[np.asarray(idx, dtype=np.intp)] * np.where(x < 0.0, 0.0, x)
+        return self.slopes[np.asarray(idx, dtype=np.intp)] * np.where(x < 0.0, 0.0, x)
 
     def second_deriv(self, i: int, s_i: float) -> float:
         if self.kind == "linear":

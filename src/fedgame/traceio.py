@@ -68,8 +68,8 @@ def trace_csv_text(trace) -> str:
         row = [str(rec.t), rec.phase]
         row += [fmt_float(v) for v in rec.s]
         row += [fmt_float(v) for v in rec.w]
-        row += [fmt_float(rep.utility) for rep in rec.reports]
-        row += [fmt_float(rep.payment) for rep in rec.reports]
+        row += [fmt_float(v) for v in rec.utilities]
+        row += [fmt_float(v) for v in rec.payments]
         row += [fmt_float(rec.welfare), fmt_float(rec.g_norm), fmt_float(rec.gt_norm)]
         writer.writerow(row)
     return buf.getvalue()

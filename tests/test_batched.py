@@ -1,9 +1,10 @@
 """The batched accuracy oracle and its three hot callers.
 
 evaluate, the pool step and the best-response scan each agree bit for bit
-with their per-agent forms; a round makes the same number of oracle calls
-at any n; a remote agent evaluates only its own row; the empirical step's
-reply gradients are evaluate rows, taken from one fused test-set pass.
+with their per-agent forms; a round makes a fixed number of oracle calls,
+and the pool step reuses the round record's rows; a remote agent evaluates
+only its own row; the empirical step's gradients are evaluate rows, taken
+from one fused test-set pass.
 """
 
 import threading
@@ -17,8 +18,15 @@ from scipy.special import logsumexp
 
 from fedgame import models
 from fedgame.analysis import GOLDEN_XTOL, _golden_max, _own_utility, _scan, best_response
-from fedgame.core import AgentSpec, GameInstance, ModelEvalError, PaymentRule
-from fedgame.dynamics import AgentWorker, LocalPool, RunConfig, run_dynamic
+from fedgame.core import (
+    VECTOR_ROWS,
+    AgentSpec,
+    GameInstance,
+    ModelEvalError,
+    PaymentRule,
+    evaluate_profile,
+)
+from fedgame.dynamics import AgentWorker, LocalPool, RunConfig, _clamp, run_dynamic
 from fedgame.federation import run_inprocess_federation
 from fedgame.models import (
     CostModel,
@@ -138,7 +146,12 @@ def test_logsumexp_rows_matches_scipy_bit_for_bit(seed, rows, cols, scale, ties,
 
 
 def step_game(rng, updater):
-    n = int(rng.integers(1, 7)) if updater == "analytic" else int(rng.integers(1, 4))
+    if updater == "empirical":
+        n = int(rng.integers(1, 4))
+    elif rng.random() < 0.5:
+        n = int(rng.integers(1, 7))
+    else:  # the numpy form of the strategy derivatives
+        n = int(rng.integers(VECTOR_ROWS, VECTOR_ROWS + 6))
     if updater == "empirical" or rng.random() < 0.25:
         acc = random_empirical(rng, n)
     else:
@@ -168,20 +181,75 @@ def test_pool_step_matches_per_agent_workers(phase, updater, w_grad_at, seed):
     w = rng.normal(size=game.m)
     # two rounds, so the empirical updater's stored quotient is used too
     for t in range(2):
-        batched = pool.step(t, phase, w, s)
-        single = [wk.step(t, phase, w, s) for wk in workers]
-        assert [rep.agent_id for rep in batched] == list(range(game.n))
-        for a, b in zip(batched, single):
-            assert a.agent_id == b.agent_id
-            assert (a.s_next is None) == (b.s_next is None)
-            assert (a.d is None) == (b.d is None)
-            if a.s_next is not None:
-                assert same(a.s_next, b.s_next)
-            if a.d is not None:
-                assert same(a.d, b.d)
+        s_next, grads = pool.step(t, phase, w, s)
+        replies = [wk.step(t, phase, w, s) for wk in workers]
+        assert [rep.agent_id for rep in replies] == list(range(game.n))
+        if phase == "2":
+            assert s_next is None
+            assert all(rep.s_next is None for rep in replies)
+        else:
+            assert all(type(rep.s_next) is float for rep in replies)
+            assert same(s_next, [rep.s_next for rep in replies])
+        if phase == "1":
+            assert grads is None
+            assert all(rep.d is None for rep in replies)
+        else:
+            assert same(grads, np.stack([rep.d for rep in replies]))
         if phase != "2":
-            s = np.clip(np.array([rep.s_next for rep in batched]), 0.0, game.s_max)
+            s = np.clip(s_next, 0.0, game.s_max)
         w = w + 0.1 * rng.normal(size=game.m)
+
+
+@pytest.mark.parametrize("w_grad_at", ["updated", "current"])
+@pytest.mark.parametrize("phase", ["1", "2", "single"])
+@settings(max_examples=12, deadline=None)
+@given(seed=SEEDS)
+def test_pool_step_reuses_the_record_rows(phase, w_grad_at, seed):
+    """Given the round record's rows, the analytic pool step returns what it
+    returns without them and evaluates nothing at (w, s) itself."""
+    rng = np.random.default_rng(seed)
+    game, s = step_game(rng, "analytic")
+    cfg = RunConfig(gamma=0.5, eta=0.5, rounds=5, w_grad_at=w_grad_at)
+    w = rng.normal(size=game.m)
+    expected = LocalPool(game, cfg).step(0, phase, w, s)
+    rows = evaluate_profile(game, w, s)
+    profiles = []
+    original = type(game.accuracy).evaluate
+
+    def spy(self, idx, w_in, S):
+        profiles.append(np.array(S))
+        return original(self, idx, w_in, S)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(game.accuracy), "evaluate", spy)
+        got = LocalPool(game, cfg).step(0, phase, w, s, rows)
+    for a, b in zip(got, expected):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert same(a, b)
+    # only the gradient at the updated profile needs a call of its own
+    if phase == "single" and w_grad_at == "updated":
+        updated = np.tile(s, (game.n, 1))
+        np.fill_diagonal(updated, got[0])
+        assert len(profiles) == 1 and same(profiles[0], updated)
+    else:
+        assert profiles == []
+
+
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, 2.0, np.nextafter(2.0, 3.0)]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(st.tuples(EDGE_FLOATS, st.sampled_from([1.0, 2.0, 1e-300, 40.0])),
+                   min_size=1, max_size=30))
+def test_clamp_equals_python_min_max(xs):
+    x = np.array([v for v, _ in xs])
+    hi = np.array([h for _, h in xs])
+    expected = [min(max(v, 0.0), h) for v, h in xs]
+    assert same(_clamp(x, hi), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +271,11 @@ def test_empirical_step_gradients_are_evaluate_rows(w_grad_at, seed):
     ids = np.arange(game.n)
     w = rng.normal(size=game.m)
     for t in range(2):
-        replies = pool.step(t, "single", w, s)
-        s_next = np.array([rep.s_next for rep in replies])
+        s_next, grads = pool.step(t, "single", w, s)
         S = s[None, :].repeat(game.n, axis=0)
         if w_grad_at == "updated":
             S[ids, ids] = s_next
-        grads = game.accuracy.evaluate(ids, w, S)[2]
-        for rep in replies:
-            assert same(rep.d, grads[rep.agent_id])
+        assert same(grads, game.accuracy.evaluate(ids, w, S)[2])
         s = np.clip(s_next, 0.0, game.s_max)
         w = w + 0.1 * rng.normal(size=game.m)
 
@@ -305,41 +370,69 @@ def test_batched_best_response_matches_scalar_scan(seed, grid_points):
 
 
 # ---------------------------------------------------------------------------
-# Oracle calls per round do not grow with n.
+# Oracle calls per round: the record's one evaluate, which the step reuses,
+# plus one at the updated profile when single rounds take the gradient there.
 
 ORACLE_METHODS = ("evaluate", "value", "grad_w", "dsi")
 
 
 @pytest.fixture
 def oracle_calls(monkeypatch):
-    counts = {"calls": 0}
+    """Each oracle call, as (method, t) with t the round of the pool step
+    in progress, or None outside a step (the round record's calls)."""
+    calls = []
+    current = {"t": None}
     for name in ORACLE_METHODS:
         original = getattr(QuadraticAccuracy, name)
 
-        def counted(self, *args, _original=original):
-            counts["calls"] += 1
+        def counted(self, *args, _name=name, _original=original):
+            calls.append((_name, current["t"]))
             return _original(self, *args)
 
         monkeypatch.setattr(QuadraticAccuracy, name, counted)
-    return counts
+    step = LocalPool.step
+
+    def stepping(self, t, *args):
+        current["t"] = t
+        try:
+            return step(self, t, *args)
+        finally:
+            current["t"] = None
+
+    monkeypatch.setattr(LocalPool, "step", stepping)
+    return calls
 
 
-@pytest.mark.parametrize("algorithm,w_grad_at", [
-    ("upbred", "updated"), ("upbred", "current"), ("2p-upbred", "updated"),
+@pytest.mark.parametrize("algorithm,w_grad_at,phases,per_round", [
+    pytest.param("upbred", "updated", {"single"}, 2, id="upbred-updated"),
+    pytest.param("upbred", "current", {"single"}, 1, id="upbred-current"),
+    pytest.param("2p-upbred", "updated", {"1", "2"}, 1, id="2p-upbred-updated"),
+    pytest.param("fedavg-strategic", "updated", {"1", "2"}, 1, id="fedavg-strategic-updated"),
+    pytest.param("fedavg", "updated", {"single"}, 1, id="fedavg-updated"),
 ])
-def test_oracle_calls_per_round_do_not_grow_with_n(oracle_calls, algorithm, w_grad_at):
-    per_round = {}
+def test_oracle_calls_per_round_do_not_grow_with_n(
+    oracle_calls, algorithm, w_grad_at, phases, per_round
+):
     for n in (5, 50):
         g = quadratic_game(
             n=n, m=3, theta=(0.8, -0.4, 0.3), sigma0=1.0, s_max=2.0,
             cost_coeffs=np.linspace(0.02, 0.1, n), payment=PaymentRule.linear(0.12),
         )
         cfg = RunConfig(gamma=0.5, eta=0.5, rounds=10, eps=1e-14, w_grad_at=w_grad_at)
-        oracle_calls["calls"] = 0
+        oracle_calls.clear()
         trace = run_dynamic(g, cfg, algorithm, s0=np.full(n, 0.5))
-        per_round[n] = oracle_calls["calls"] / len(trace.records)
-    assert per_round[5] == per_round[50]
-    assert per_round[5] <= 3.0
+        assert trace.outcome == "MaxRounds"
+        assert {rec.phase for rec in trace.records} == phases
+        assert {name for name, _ in oracle_calls} == {"evaluate"}
+        # one call per record, plus one for the round a two-phase handover
+        # moves onto the ceiling, which is then recorded at the new profile
+        record_calls = sum(t is None for _, t in oracle_calls)
+        assert record_calls == len(trace.records) + (algorithm == "2p-upbred")
+        # every round but the last steps; a step evaluates only at the
+        # updated profile of a single round
+        stepped = sorted({rec.t for rec in trace.records} - {trace.final.t})
+        step_calls = Counter(t for _, t in oracle_calls if t is not None)
+        assert sorted(step_calls.elements()) == stepped * (per_round - 1)
 
 
 # ---------------------------------------------------------------------------

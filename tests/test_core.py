@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fedgame.core import (
     BOUND_TOL,
+    VECTOR_ROWS,
     AgentSpec,
     ConfigError,
     GameInstance,
@@ -155,6 +156,66 @@ def test_mu_correction_zeroes_outward_components_only():
     assert out == pytest.approx([0.0, 0.0, -3.0, 2.0, -2.0])
     dsi = np.array([g.accuracy.dsi(i, np.zeros(1), s) for i in range(5)])
     assert [float(strategy_derivatives(g, [i], s, dsi[[i]])[0]) for i in range(5)] == list(out)
+
+
+def boundary_profile(rng, s_max):
+    """Contributions at and near both ends of the box: 0, -0.0, s_max, and
+    within or just beyond BOUND_TOL of either; a few lie below -1e-12, where
+    the cost derivative refuses them, and the rest inside."""
+    n = len(s_max)
+    offsets = BOUND_TOL * np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+    candidates = [
+        np.zeros(n), np.full(n, -0.0), s_max,
+        rng.choice(offsets, n), s_max + rng.choice(offsets, n),
+        rng.uniform(0.0, 1.0, n) * s_max,
+    ]
+    pick = rng.choice(len(candidates), n, p=[0.15, 0.1, 0.15, 0.1, 0.15, 0.35])
+    s = np.choose(pick, candidates)
+    if rng.random() < 0.8:
+        s = np.where(s < -1e-12, 0.0, s)
+    return s
+
+
+def outcome(fn):
+    """fn()'s result, or the type and message of what it raised."""
+    try:
+        return fn()
+    except (NumericError, ConfigError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 40),
+       non_finite=st.sampled_from([None, np.inf, -np.inf, np.nan]))
+def test_vector_strategy_derivatives_equal_the_row_loop(seed, extra, non_finite):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    s_max = rng.uniform(0.5, 5.0, n)
+    costs = rng.uniform(0.0, 0.2, n)
+    beta = float(rng.choice([0.0, 0.05, 0.12]))
+    g = GameInstance(
+        agents=tuple(AgentSpec(id=i, s_max=float(s_max[i])) for i in range(n)),
+        accuracy=SeparableAccuracy(k=np.zeros(n), q=0.0, alpha=1.0, w_bar=[0.0]),
+        cost=CostModel.linear(costs),
+        payment=PaymentRule.linear(beta) if beta else PaymentRule.none(),
+        m=1,
+    )
+    s = boundary_profile(rng, s_max)
+    # rows in any order, agents repeated; about a third have a derivative
+    # of exactly or nearly zero, so both signs meet both bounds
+    idx = rng.integers(0, n, VECTOR_ROWS + extra)
+    dsi = rng.normal(size=len(idx)) * 10.0 ** rng.uniform(-3.0, 1.0, len(idx))
+    dsi = np.where(rng.random(len(idx)) < 0.3, costs[idx] - beta, dsi)
+    if non_finite is not None:
+        dsi[rng.integers(0, len(idx), int(rng.integers(1, 3)))] = non_finite
+    rows = [outcome(lambda r=r: strategy_derivatives(g, idx[[r]], s, dsi[[r]])) for r in range(len(idx))]
+    first_error = next((o for o in rows if isinstance(o, tuple)), None)
+    got = outcome(lambda: strategy_derivatives(g, idx, s, dsi))
+    if first_error is not None:
+        assert got == first_error
+    else:
+        expected = np.concatenate(rows)
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_mu_correction_uses_absolute_tolerance():

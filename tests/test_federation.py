@@ -103,6 +103,9 @@ def test_decode_rejects_malformed_lines():
         decode_frame(b'{"type":"report","payload":7}\n')
     with pytest.raises(DecodeError):
         decode_frame(b"x" * (MAX_FRAME_BYTES + 1))
+    # an integer literal longer than Python converts (4300 digits)
+    with pytest.raises(DecodeError):
+        decode_frame(b'{"type":"report","payload":{"t":' + b"1" * 5000 + b"}}\n")
 
 
 def test_decode_rejects_nonfinite_numbers():
@@ -248,8 +251,9 @@ def test_step_drops_stale_reports_and_keeps_waiting(example_game):
         send_frame(agents[0], "report", stale)
         send_frame(agents[0], "report", good)
         send_frame(agents[1], "report", {"run_id": pool.run_id, "t": 0, "agent_id": 1, "s_next": 2.0})
-        replies = pool.step(0, "1", np.zeros(2), np.zeros(2))
-        assert [r.s_next for r in replies] == [1.0, 2.0]
+        s_next, grads = pool.step(0, "1", np.zeros(2), np.zeros(2))
+        assert s_next.tolist() == [1.0, 2.0]
+        assert grads is None
         # agent 0 saw: broadcast, then the drop notice for its stale report
         ftype, _ = decode_frame(agents[0].recv_line())
         assert ftype == "broadcast"
@@ -283,6 +287,67 @@ def test_step_validates_phase_contract(example_game):
             pool.step(0, "2", np.zeros(2), np.zeros(2))
     finally:
         pool.close(ok=False)
+
+
+# Reports whose numbers are not finite doubles: JSON true decodes to a bool,
+# and an exponent past the double range to an infinite float.
+BAD_REPORTS = {
+    "overflowed-s_next": ("1e400", "[0.0, 0.0]"),
+    "overflowed-gradient": ("0.5", "[0.0, -1e999]"),
+    "boolean-s_next": ("true", "[0.0, 0.0]"),
+}
+BAD_REPORT_TIMEOUT = 5.0
+
+
+def scripted_peer(g, channel, agent_id, s_next, d):
+    """An agent that answers every broadcast with s_next and d written
+    verbatim into the report; it returns at bye or end of stream."""
+    send_frame(channel, "hello", hello_payload(g, agent_id))
+    ftype, ack_in = decode_frame(channel.recv_line(BAD_REPORT_TIMEOUT))
+    assert ftype == "hello"
+    while True:
+        line = channel.recv_line(BAD_REPORT_TIMEOUT)
+        if line == b"":
+            return
+        ftype, payload = decode_frame(line)
+        if ftype != "broadcast":
+            return
+        head = json.dumps({"run_id": ack_in["run_id"], "t": payload["t"], "agent_id": agent_id})
+        channel.send_bytes(
+            f'{{"type":"report","payload":{{{head[1:-1]},"s_next":{s_next},"d":{d}}}}}\n'.encode()
+        )
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REPORTS))
+def test_center_rejects_non_finite_or_boolean_report_numbers(example_game, case):
+    s_next, d = BAD_REPORTS[case]
+    cfg = cfg_for()
+    centers, agents = zip(*(channel_pair() for _ in range(2)))
+    status = {}
+    honest = threading.Thread(
+        target=lambda: status.setdefault(
+            0, run_agent(example_game, 0, cfg, agents[0], timeout=BAD_REPORT_TIMEOUT)
+        ),
+        daemon=True,
+    )
+    peer = threading.Thread(
+        target=scripted_peer, args=(example_game, agents[1], 1, s_next, d), daemon=True
+    )
+    honest.start()
+    peer.start()
+    w0, s0 = example_start()
+    started = time.monotonic()
+    trace = serve_center(
+        example_game, cfg, "upbred", list(centers), w0, s0, timeout=BAD_REPORT_TIMEOUT
+    )
+    assert time.monotonic() - started < BAD_REPORT_TIMEOUT
+    assert trace.outcome == "Error"
+    assert trace.error.startswith("round 0: agent 1: report"), trace.error
+    assert len(trace.records) == 1
+    honest.join(timeout=BAD_REPORT_TIMEOUT)
+    peer.join(timeout=BAD_REPORT_TIMEOUT)
+    assert not honest.is_alive() and not peer.is_alive()
+    assert status[0] == 1  # the center's bye said the run was aborted
 
 
 def test_step_times_out_and_names_missing_agents(example_game):
@@ -466,6 +531,19 @@ AGENT_EXITS = {
     ),
     "unexpected-frame": ([ACK, ACK], "unexpected frame hello", "unexpected frame hello"),
 }
+# Broadcasts whose w or s hold something other than finite numbers.
+for _case, _field in {
+    "boolean-w": '"w":[true,0.0],"s":[0.5,0.5]',
+    "overflowed-w": '"w":[1e400,0.0],"s":[0.5,0.5]',
+    "overflowed-s": '"w":[0.0,0.0],"s":[0.5,-1e999]',
+    "string-s": '"w":[0.0,0.0],"s":[0.5,"0.5"]',
+    "huge-integer-s": '"w":[0.0,0.0],"s":[0.5,1' + "0" * 400 + "]",
+}.items():
+    AGENT_EXITS[f"broadcast-{_case}"] = (
+        [ACK, ('{"type":"broadcast","payload":{"run_id":"run0","t":0,"phase":"1",'
+               + _field + "}}\n").encode()],
+        "malformed broadcast fields", "malformed broadcast fields",
+    )
 AGENT_EXIT_TIMEOUT = 2.0
 
 
