@@ -106,6 +106,8 @@ def _summary_line(trace) -> str:
 def cmd_run(args) -> int:
     if args.listen and args.connect:
         raise ConfigError("--listen and --connect cannot be combined")
+    if not (isfinite(args.timeout) and args.timeout > 0.0):
+        raise ConfigError(f"--timeout must be finite and > 0, got {args.timeout!r}")
     built, text, stem = _built(args)
     if args.connect:
         if args.agent_id is None:
@@ -161,12 +163,15 @@ def cmd_sweep(args) -> int:
     raw_values = [tok.strip() for tok in args.values.split(",") if tok.strip()]
     if not raw_values:
         raise ConfigError("sweep needs a nonempty --values list")
-    if axis in ("agents", "seed"):
-        values = [int(v) for v in raw_values]
-    else:
-        values = [float(v) for v in raw_values]
-        if any(not isfinite(v) for v in values):
-            raise ConfigError("sweep values must be finite")
+    parse = int if axis in ("agents", "seed") else float
+    values = []
+    for tok in raw_values:
+        try:
+            values.append(parse(tok))
+        except ValueError:
+            raise ConfigError(f"bad --values entry {tok!r} for axis {axis}") from None
+    if parse is float and not all(isfinite(v) for v in values):
+        raise ConfigError("sweep values must be finite")
     if args.replicates < 1:
         raise ConfigError("--replicates must be >= 1")
 

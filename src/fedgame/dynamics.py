@@ -23,9 +23,11 @@ where agents live.  Its contract is
 with rows = evaluate_profile(g, w, s), which the round record has already
 computed, and the replies in id order: s_next, shape (n,), the unclamped
 next contributions, and grads, shape (n, m), the agents' accuracy gradients
-in w; a part the phase does not move is None.  LocalPool steps every agent
-in process and reuses rows; the federation module's RemotePool collects the
-same arrays from remote AgentWorkers over a transport and ignores rows.
+in w; a part the phase does not move is None.  LocalPool steps a set of
+agents in process, every agent by default, and reuses rows.  A remote agent
+runs an AgentWorker, the LocalPool of its one id; the federation module's
+RemotePool collects the agents' rows into the same arrays over a transport
+and ignores rows.
 """
 
 from __future__ import annotations
@@ -143,13 +145,6 @@ class Trace:
         return self.records[-1]
 
 
-@dataclass(frozen=True)
-class AgentReply:
-    agent_id: int
-    s_next: float | None
-    d: np.ndarray | None
-
-
 def _clamp(x: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """min(max(x, 0.0), hi) entry by entry.  np.where keeps what Python's
     min and max return for -0.0 and NaN; np.maximum and np.minimum do not."""
@@ -157,20 +152,22 @@ def _clamp(x: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where(hi < y, hi, y)
 
 
-class _AgentSteps:
-    """Round computations for a set of agents, each using only its own data.
+class LocalPool:
+    """Round computations for the agents in ids (default: every agent),
+    each using only its own data; see the module docstring for the step
+    contract, whose rows follow the order of ids.
 
-    One batched oracle call covers the whole set: LocalPool steps every
-    agent at once, a remote agent steps only its own id.  step returns the
-    pool contract's (s_next, grads) for the set's ids.  The set keeps the
-    small amount of state the numerical contribution updater needs (each
-    agent's previous contribution and last difference quotient); analytic
-    updates are stateless.
+    One batched oracle call covers the whole set.  The pool keeps the small
+    amount of state the numerical contribution updater needs (each agent's
+    previous contribution and last difference quotient); analytic updates
+    are stateless.
     """
 
-    def __init__(self, game: GameInstance, ids: Sequence[int], cfg: RunConfig) -> None:
+    def __init__(
+        self, game: GameInstance, cfg: RunConfig, ids: Sequence[int] | None = None
+    ) -> None:
         self.game = game
-        self.ids = np.array(ids, dtype=np.intp)
+        self.ids = np.array(game.ids if ids is None else ids, dtype=np.intp)
         self.cfg = cfg
         self._id_list = self.ids.tolist()
         self._rows = np.arange(len(self.ids))
@@ -247,39 +244,18 @@ class _AgentSteps:
             grads = self._checked(rows[2])
         return s_next, grads
 
+    def close(self, ok: bool = True) -> None:
+        pass
 
-class AgentWorker:
-    """Round computations of one agent, as a remote agent runs them."""
+
+class AgentWorker(LocalPool):
+    """The pool of one agent, as a remote agent runs it."""
 
     def __init__(self, game: GameInstance, agent_id: int, cfg: RunConfig) -> None:
         if not 0 <= agent_id < game.n:
             raise ConfigError(f"agent id {agent_id} out of range")
+        super().__init__(game, cfg, (agent_id,))
         self.i = agent_id
-        self._steps = _AgentSteps(game, (agent_id,), cfg)
-
-    def step(self, t: int, phase: str, w: np.ndarray, s: np.ndarray) -> AgentReply:
-        s_next, grads = self._steps.step(t, phase, w, s)
-        return AgentReply(
-            self.i,
-            None if s_next is None else float(s_next[0]),
-            None if grads is None else grads[0],
-        )
-
-
-class LocalPool:
-    """In-process pool stepping every agent at once (see the module
-    docstring for the step contract)."""
-
-    def __init__(self, game: GameInstance, cfg: RunConfig) -> None:
-        self._steps = _AgentSteps(game, range(game.n), cfg)
-
-    def step(
-        self, t: int, phase: str, w: np.ndarray, s: np.ndarray, rows: tuple | None = None
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        return self._steps.step(t, phase, w, s, rows)
-
-    def close(self, ok: bool = True) -> None:
-        pass
 
 
 def _round_record(

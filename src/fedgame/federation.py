@@ -3,8 +3,9 @@
 Frames are single-line UTF-8 JSON objects {"type": ..., "payload": ...} with
 type in {hello, broadcast, report, bye, error}.  Floats ride as JSON numbers
 in shortest round-trip decimal, so a remote run reproduces the in-process
-arithmetic bit for bit.  Two transports ship: thread-queue channels (tests,
-in-process runs) and TCP sockets.
+arithmetic bit for bit.  Every transport is a stream socket behind one
+channel class: a socketpair for in-process runs and tests, TCP between
+processes.
 
 Protocol per run:
   agent -> center   hello {protocol_version, agent_id, digest}
@@ -129,49 +130,8 @@ def decode_frame(line: bytes) -> tuple[str, dict]:
 # Channels: blocking byte-line endpoints.
 
 
-class QueueChannel:
-    """One endpoint of an in-process duplex pipe built on two Queues."""
-
-    def __init__(self, inbox: queue.Queue, outbox: queue.Queue) -> None:
-        self._inbox = inbox
-        self._outbox = outbox
-        self._closed = False
-
-    def send_bytes(self, data: bytes) -> None:
-        if self._closed:
-            raise FederationError("channel closed")
-        self._outbox.put(data)
-
-    def recv_line(self, timeout: float | None = None) -> bytes:
-        """Next frame line, b"" at EOF; FederationError when timeout
-        seconds pass without one (None waits forever)."""
-        try:
-            data = self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            raise FederationError(_stall_message(timeout)) from None
-        if data == b"":
-            self._inbox.put(b"")  # keep EOF sticky for any later reader
-        return data
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._outbox.put(b"")
-            self._inbox.put(b"")  # wake local readers blocked on recv_line
-
-
-def _stall_message(timeout: float | None) -> str:
-    return f"stalled: no frame received within {timeout}s"
-
-
-def channel_pair() -> tuple[QueueChannel, QueueChannel]:
-    a_to_b: queue.Queue = queue.Queue()
-    b_to_a: queue.Queue = queue.Queue()
-    return QueueChannel(b_to_a, a_to_b), QueueChannel(a_to_b, b_to_a)
-
-
 class SocketChannel:
-    """Line-framed TCP endpoint."""
+    """Line-framed endpoint of a stream socket."""
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
@@ -195,8 +155,8 @@ class SocketChannel:
         try:
             line = self._file.readline(MAX_FRAME_BYTES + 2)
         except TimeoutError:
-            raise FederationError(_stall_message(timeout)) from None
-        except OSError:
+            raise FederationError(f"stalled: no frame received within {timeout}s") from None
+        except (OSError, ValueError):  # ValueError: this end was closed
             return b""
         if len(line) > MAX_FRAME_BYTES:
             raise DecodeError("frame exceeds 16 MiB", 0)
@@ -214,6 +174,12 @@ class SocketChannel:
         except OSError:
             pass
         self._sock.close()
+
+
+def channel_pair() -> tuple[SocketChannel, SocketChannel]:
+    """Two connected in-process endpoints."""
+    a, b = socket.socketpair()
+    return SocketChannel(a), SocketChannel(b)
 
 
 def send_frame(channel, ftype: str, payload: dict) -> None:
@@ -343,8 +309,17 @@ class RemotePool:
             "n": self.game.n,
             "m": self.game.m,
         }
+        self._send_all("hello", ack)
+
+    def _send_all(self, ftype: str, payload: dict) -> None:
+        """Send one frame to every agent in id order; a failed send names
+        the agent."""
+        data = encode_frame(ftype, payload)
         for aid in sorted(self._by_agent):
-            send_frame(self._by_agent[aid], "hello", ack)
+            try:
+                self._by_agent[aid].send_bytes(data)
+            except FederationError as exc:
+                raise FederationError(f"agent {aid} disconnected: {exc}") from None
 
     def _parse_report(
         self, phase: str, payload: dict
@@ -377,15 +352,13 @@ class RemotePool:
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """One round over the transport.  rows are not used: the agents
         evaluate their own."""
-        payload = {
+        self._send_all("broadcast", {
             "run_id": self.run_id,
             "t": int(t),
             "phase": phase,
             "w": [float(v) for v in w],
             "s": [float(v) for v in s],
-        }
-        for aid in sorted(self._by_agent):
-            send_frame(self._by_agent[aid], "broadcast", payload)
+        })
         n = self.game.n
         s_next = None if phase == "2" else np.empty(n)
         grads = None if phase == "1" else np.empty((n, self.game.m))
@@ -487,10 +460,10 @@ def run_agent(
 ) -> int:
     """Agent loop: handshake, answer broadcasts, exit on bye.  Returns a
     process-style status: 0 clean, nonzero on a protocol failure, an aborted
-    run, a center that sends nothing for timeout seconds, or a failure of
-    the agent's own computation, which it also reports to the center in an
-    error frame.  notify, if given, is called with a one-line reason on
-    every failure path."""
+    run, a center that sends nothing for timeout seconds or hangs up, or a
+    failure of the agent's own computation, which it also reports to the
+    center in an error frame.  notify, if given, is called with a one-line
+    reason on every failure path."""
     note = notify if notify is not None else lambda msg: None
     worker = AgentWorker(g, agent_id, cfg)
 
@@ -502,15 +475,21 @@ def run_agent(
             note(f"waiting for the center: {exc}")
             return None
 
-    send_frame(
-        channel,
-        "hello",
-        {
-            "protocol_version": PROTOCOL_VERSION,
-            "agent_id": agent_id,
-            "digest": instance_digest(g),
-        },
-    )
+    def send(ftype: str, payload: dict) -> bool:
+        try:
+            send_frame(channel, ftype, payload)
+        except FederationError as exc:
+            note(f"sending {ftype} to the center: {exc}")
+            return False
+        return True
+
+    hello = {
+        "protocol_version": PROTOCOL_VERSION,
+        "agent_id": agent_id,
+        "digest": instance_digest(g),
+    }
+    if not send("hello", hello):
+        return 1
     line = receive()
     if line is None:
         return 1
@@ -577,18 +556,19 @@ def run_agent(
             note("malformed broadcast fields")
             return 1
         try:
-            reply = worker.step(t, phase, np.array(w, dtype=float), np.array(s, dtype=float))
+            s_next, grads = worker.step(t, phase, np.array(w), np.array(s))
         except GameError as exc:
             message = f"agent {agent_id} failed at round {t}: {exc}"
             _best_effort(channel, "error", {"message": message})
             note(message)
             return 1
         report = {"run_id": run_id, "t": t, "agent_id": agent_id}
-        if reply.s_next is not None:
-            report["s_next"] = reply.s_next
-        if reply.d is not None:
-            report["d"] = [float(v) for v in reply.d]
-        send_frame(channel, "report", report)
+        if s_next is not None:
+            report["s_next"] = float(s_next[0])
+        if grads is not None:
+            report["d"] = grads[0].tolist()
+        if not send("report", report):
+            return 1
         last_t = t
 
 
@@ -611,12 +591,9 @@ def run_inprocess_federation(
     timeout: float = DEFAULT_TIMEOUT,
     strict: bool = True,
 ) -> InProcessRun:
-    """Full protocol run with every agent on its own thread and queue pipes."""
-    center_ends, agent_ends = [], []
-    for _ in range(g.n):
-        c_end, a_end = channel_pair()
-        center_ends.append(c_end)
-        agent_ends.append(a_end)
+    """Full protocol run with every agent on its own thread, each joined to
+    the center by a socketpair; every end is closed on return."""
+    center_ends, agent_ends = zip(*(channel_pair() for _ in range(g.n)))
     status = [None] * g.n
 
     def agent_main(i: int) -> None:
@@ -628,9 +605,13 @@ def run_inprocess_federation(
     threads = [threading.Thread(target=agent_main, args=(i,), daemon=True) for i in range(g.n)]
     for th in threads:
         th.start()
-    trace = serve_center(g, cfg, algorithm, center_ends, w0, s0, timeout, strict)
-    for th in threads:
-        th.join(timeout=10.0)
+    try:
+        trace = serve_center(g, cfg, algorithm, center_ends, w0, s0, timeout, strict)
+    finally:
+        for th in threads:
+            th.join(timeout=10.0)
+        for ch in agent_ends:  # serve_center has closed the center ends
+            ch.close()
     return InProcessRun(trace=trace, agent_status=[x if x is not None else 2 for x in status])
 
 

@@ -183,18 +183,18 @@ def test_pool_step_matches_per_agent_workers(phase, updater, w_grad_at, seed):
     for t in range(2):
         s_next, grads = pool.step(t, phase, w, s)
         replies = [wk.step(t, phase, w, s) for wk in workers]
-        assert [rep.agent_id for rep in replies] == list(range(game.n))
         if phase == "2":
             assert s_next is None
-            assert all(rep.s_next is None for rep in replies)
+            assert all(s_i is None for s_i, _ in replies)
         else:
-            assert all(type(rep.s_next) is float for rep in replies)
-            assert same(s_next, [rep.s_next for rep in replies])
+            assert all(s_i.shape == (1,) for s_i, _ in replies)
+            assert same(s_next, np.concatenate([s_i for s_i, _ in replies]))
         if phase == "1":
             assert grads is None
-            assert all(rep.d is None for rep in replies)
+            assert all(d_i is None for _, d_i in replies)
         else:
-            assert same(grads, np.stack([rep.d for rep in replies]))
+            assert all(d_i.shape == (1, game.m) for _, d_i in replies)
+            assert same(grads, np.concatenate([d_i for _, d_i in replies]))
         if phase != "2":
             s = np.clip(s_next, 0.0, game.s_max)
         w = w + 0.1 * rng.normal(size=game.m)

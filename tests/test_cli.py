@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -254,6 +255,17 @@ def test_sweep_argument_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("axis, values, token", [
+    ("beta", "0.1,abc", "'abc'"),
+    ("agents", "2,1.5", "'1.5'"),
+])
+def test_sweep_names_an_unparsable_value(tmp_path, capsys, axis, values, token):
+    code = run_cli("sweep", "--config", "example1-2p", "--out", str(tmp_path),
+                   "--axis", axis, "--values", values)
+    assert code == 1
+    assert token in capsys.readouterr().err
+
+
 def test_tcp_run_matches_local(tmp_path):
     local_dir = tmp_path / "local"
     fed_dir = tmp_path / "fed"
@@ -291,6 +303,19 @@ def test_tcp_run_matches_local(tmp_path):
     assert "outcome=Converged" in out
     local_csv = (local_dir / "example1-upbred.csv").read_bytes()
     assert (fed_dir / "example1-upbred.csv").read_bytes() == local_csv
+
+
+@pytest.mark.parametrize("timeout", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("net", [
+    ("serve", "--listen", "127.0.0.1:0"),
+    ("agent", "--connect", "127.0.0.1:1", "--agent-id", "0"),
+], ids=["serve", "agent"])
+def test_timeout_must_be_finite_and_positive(capsys, net, timeout):
+    started = time.monotonic()
+    code = run_cli(*net, "--config", "example1-upbred", f"--timeout={timeout}")
+    assert time.monotonic() - started < 1.0
+    assert code == 1
+    assert "--timeout must be finite and > 0" in capsys.readouterr().err
 
 
 def test_module_entry_point():

@@ -273,9 +273,9 @@ def test_empirical_worker_first_round_has_zero_quotient():
     worker = AgentWorker(g, 0, cfg)
     w = np.zeros(4)
     s = np.array([10.0, 12.0])
-    reply = worker.step(0, "single", w, s)
+    s_next, _ = worker.step(0, "single", w, s)
     # no previous contribution yet: update is cost/transfer only
-    assert reply.s_next == pytest.approx(10.0 - 0.002 + 0.01)
+    assert s_next.tolist() == pytest.approx([10.0 - 0.002 + 0.01])
 
 
 def test_empirical_worker_quotient_matches_manual_computation():
@@ -284,15 +284,15 @@ def test_empirical_worker_quotient_matches_manual_computation():
     worker = AgentWorker(g, 0, cfg)
     w = np.zeros(4)
     s0 = np.array([10.0, 12.0])
-    r0 = worker.step(0, "single", w, s0)
-    s1 = np.array([r0.s_next, 12.0])
+    r0, _ = worker.step(0, "single", w, s0)
+    s1 = np.array([r0[0], 12.0])
     w1 = np.full(4, 0.05)
     before = g.accuracy.test_loss(0, w1)
     after = g.accuracy.test_loss(0, g.accuracy.local_training_step(0, w1, float(s1[0]), 0.2))
     quotient = (after - before) / (float(s1[0]) - 10.0)
     expected = float(np.clip(float(s1[0]) - quotient - 0.002 + 0.01, 0.0, 30.0))
-    r1 = worker.step(1, "single", w1, s1)
-    assert r1.s_next == pytest.approx(expected, rel=1e-12)
+    r1, _ = worker.step(1, "single", w1, s1)
+    assert r1.tolist() == pytest.approx([expected], rel=1e-12)
 
 
 def test_empirical_worker_reuses_quotient_for_tiny_moves():
@@ -303,8 +303,8 @@ def test_empirical_worker_reuses_quotient_for_tiny_moves():
     worker.step(0, "single", w, np.array([10.0, 12.0]))
     # second call at an unchanged contribution: falls back to the last
     # stored quotient, which is still the round-one zero
-    reply = worker.step(1, "single", w, np.array([10.0, 12.0]))
-    assert reply.s_next == pytest.approx(10.0 - 0.002 + 0.01)
+    s_next, _ = worker.step(1, "single", w, np.array([10.0, 12.0]))
+    assert s_next.tolist() == pytest.approx([10.0 - 0.002 + 0.01])
 
 
 def test_empirical_strategy_update_pure_form():

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedgame import federation
 from fedgame.core import ConfigError, FederationError
 from fedgame.dynamics import RunConfig, run_dynamic
 from fedgame.federation import (
     DecodeError,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    QueueChannel,
     RemotePool,
     accept_agents,
     channel_pair,
@@ -122,15 +122,33 @@ def test_decode_error_carries_offset():
     assert err.value.offset == bad.index(b"}}")
 
 
-def test_queue_channel_eof_is_sticky():
-    a, b = channel_pair()
+@pytest.fixture
+def pipe():
+    """channel_pair() for one test; every end it made is closed afterwards."""
+    ends = []
+
+    def make():
+        pair = channel_pair()
+        ends.extend(pair)
+        return pair
+
+    yield make
+    for ch in ends:
+        ch.close()
+
+
+def test_channel_eof_is_sticky(pipe):
+    a, b = pipe()
     a.send_bytes(b"one\n")
     assert b.recv_line() == b"one\n"
     a.close()
     assert b.recv_line() == b""
     assert b.recv_line() == b""  # still EOF on the next read
+    assert a.recv_line() == b""  # a closed end reads as EOF too
     with pytest.raises(FederationError):
         a.send_bytes(b"late\n")
+    with pytest.raises(FederationError):
+        b.send_bytes(b"to nobody\n")
 
 
 def test_derive_run_id_sensitivity(example_game):
@@ -168,18 +186,18 @@ def hello_payload(g, agent_id, over=None):
     return payload
 
 
-def manual_pool(g, algorithm="upbred", timeout=2.0, cfg=None):
+def manual_pool(pipe, g, algorithm="upbred", timeout=2.0, cfg=None):
     cfg = cfg or cfg_for()
     centers, agents = [], []
     for _ in range(g.n):
-        c, a = channel_pair()
+        c, a = pipe()
         centers.append(c)
         agents.append(a)
     return RemotePool(g, cfg, algorithm, centers, timeout=timeout), agents
 
 
-def test_handshake_accepts_and_acks(example_game):
-    pool, agents = manual_pool(example_game)
+def test_handshake_accepts_and_acks(example_game, pipe):
+    pool, agents = manual_pool(pipe, example_game)
     try:
         for i, ch in enumerate(agents):
             send_frame(ch, "hello", hello_payload(example_game, i))
@@ -202,8 +220,8 @@ def test_handshake_accepts_and_acks(example_game):
         ({"agent_id": "zero"}, "bad agent id"),
     ],
 )
-def test_handshake_rejects_bad_hello(example_game, override, message_part):
-    pool, agents = manual_pool(example_game, timeout=1.0)
+def test_handshake_rejects_bad_hello(example_game, override, message_part, pipe):
+    pool, agents = manual_pool(pipe, example_game, timeout=1.0)
     try:
         send_frame(agents[0], "hello", hello_payload(example_game, 0, override))
         with pytest.raises(FederationError, match=message_part):
@@ -214,8 +232,8 @@ def test_handshake_rejects_bad_hello(example_game, override, message_part):
         pool.close(ok=False)
 
 
-def test_handshake_rejects_duplicate_agent(example_game):
-    pool, agents = manual_pool(example_game, timeout=1.0)
+def test_handshake_rejects_duplicate_agent(example_game, pipe):
+    pool, agents = manual_pool(pipe, example_game, timeout=1.0)
     try:
         send_frame(agents[0], "hello", hello_payload(example_game, 0))
         send_frame(agents[1], "hello", hello_payload(example_game, 0))
@@ -225,8 +243,8 @@ def test_handshake_rejects_duplicate_agent(example_game):
         pool.close(ok=False)
 
 
-def test_handshake_times_out_without_hello(example_game):
-    pool, _agents = manual_pool(example_game, timeout=0.2)
+def test_handshake_times_out_without_hello(example_game, pipe):
+    pool, _agents = manual_pool(pipe, example_game, timeout=0.2)
     try:
         with pytest.raises(FederationError, match="timeout waiting for hello"):
             pool.handshake()
@@ -242,8 +260,8 @@ def complete_handshake(pool, agents, g):
         decode_frame(ch.recv_line())  # consume the ack
 
 
-def test_step_drops_stale_reports_and_keeps_waiting(example_game):
-    pool, agents = manual_pool(example_game, timeout=2.0)
+def test_step_drops_stale_reports_and_keeps_waiting(example_game, pipe):
+    pool, agents = manual_pool(pipe, example_game, timeout=2.0)
     try:
         complete_handshake(pool, agents, example_game)
         good = {"run_id": pool.run_id, "t": 0, "agent_id": 0, "s_next": 1.0}
@@ -263,8 +281,8 @@ def test_step_drops_stale_reports_and_keeps_waiting(example_game):
         pool.close(ok=False)
 
 
-def test_step_rejects_misclaimed_identity(example_game):
-    pool, agents = manual_pool(example_game, timeout=1.0)
+def test_step_rejects_misclaimed_identity(example_game, pipe):
+    pool, agents = manual_pool(pipe, example_game, timeout=1.0)
     try:
         complete_handshake(pool, agents, example_game)
         send_frame(agents[0], "report", {"run_id": pool.run_id, "t": 0, "agent_id": 1, "s_next": 1.0})
@@ -274,8 +292,8 @@ def test_step_rejects_misclaimed_identity(example_game):
         pool.close(ok=False)
 
 
-def test_step_validates_phase_contract(example_game):
-    pool, agents = manual_pool(example_game, timeout=1.0)
+def test_step_validates_phase_contract(example_game, pipe):
+    pool, agents = manual_pool(pipe, example_game, timeout=1.0)
     try:
         complete_handshake(pool, agents, example_game)
         # gradient-only round must not carry s_next
@@ -319,10 +337,10 @@ def scripted_peer(g, channel, agent_id, s_next, d):
 
 
 @pytest.mark.parametrize("case", sorted(BAD_REPORTS))
-def test_center_rejects_non_finite_or_boolean_report_numbers(example_game, case):
+def test_center_rejects_non_finite_or_boolean_report_numbers(example_game, case, pipe):
     s_next, d = BAD_REPORTS[case]
     cfg = cfg_for()
-    centers, agents = zip(*(channel_pair() for _ in range(2)))
+    centers, agents = zip(*(pipe() for _ in range(2)))
     status = {}
     honest = threading.Thread(
         target=lambda: status.setdefault(
@@ -350,8 +368,8 @@ def test_center_rejects_non_finite_or_boolean_report_numbers(example_game, case)
     assert status[0] == 1  # the center's bye said the run was aborted
 
 
-def test_step_times_out_and_names_missing_agents(example_game):
-    pool, agents = manual_pool(example_game, timeout=0.3)
+def test_step_times_out_and_names_missing_agents(example_game, pipe):
+    pool, agents = manual_pool(pipe, example_game, timeout=0.3)
     try:
         complete_handshake(pool, agents, example_game)
         send_frame(agents[0], "report", {"run_id": pool.run_id, "t": 0, "agent_id": 0, "s_next": 1.0})
@@ -361,8 +379,8 @@ def test_step_times_out_and_names_missing_agents(example_game):
         pool.close(ok=False)
 
 
-def test_step_fails_on_disconnect(example_game):
-    pool, agents = manual_pool(example_game, timeout=1.0)
+def test_step_fails_on_disconnect(example_game, pipe):
+    pool, agents = manual_pool(pipe, example_game, timeout=1.0)
     try:
         complete_handshake(pool, agents, example_game)
         agents[1].close()
@@ -372,8 +390,32 @@ def test_step_fails_on_disconnect(example_game):
         pool.close(ok=False)
 
 
-def test_step_fails_on_agent_error_frame(example_game):
-    pool, agents = manual_pool(example_game, timeout=1.0)
+def test_serve_names_the_agent_that_hangs_up(example_game, pipe):
+    cfg = cfg_for()
+    centers, agents = zip(*(pipe() for _ in range(2)))
+    honest = threading.Thread(
+        target=run_agent, args=(example_game, 0, cfg, agents[0]), kwargs={"timeout": 5.0},
+        daemon=True,
+    )
+    honest.start()
+    send_frame(agents[1], "hello", hello_payload(example_game, 1))
+
+    def hang_up():
+        decode_frame(agents[1].recv_line(5.0))  # the ack
+        agents[1].close()
+
+    peer = threading.Thread(target=hang_up, daemon=True)
+    peer.start()
+    w0, s0 = example_start()
+    trace = serve_center(example_game, cfg, "upbred", list(centers), w0, s0, timeout=5.0)
+    honest.join(timeout=5.0)
+    peer.join(timeout=5.0)
+    assert trace.outcome == "Error"
+    assert trace.error.startswith("round 0: agent 1 disconnected"), trace.error
+
+
+def test_step_fails_on_agent_error_frame(example_game, pipe):
+    pool, agents = manual_pool(pipe, example_game, timeout=1.0)
     try:
         complete_handshake(pool, agents, example_game)
         send_frame(agents[0], "error", {"message": "local blowup"})
@@ -387,8 +429,8 @@ def test_step_fails_on_agent_error_frame(example_game):
 # Agent loop, driven from a hand-held center endpoint.
 
 
-def start_agent(g, agent_id, cfg, notify=None):
-    center_end, agent_end = channel_pair()
+def start_agent(pipe, g, agent_id, cfg, notify=None):
+    center_end, agent_end = pipe()
     result = {}
 
     def main():
@@ -410,8 +452,8 @@ def ack(center_end, run_id="run0", n=2, m=2):
     )
 
 
-def test_agent_answers_each_phase(example_game):
-    center, th, result = start_agent(example_game, 1, cfg_for())
+def test_agent_answers_each_phase(example_game, pipe):
+    center, th, result = start_agent(pipe, example_game, 1, cfg_for())
     ack(center)
     w, s = example_start()
     base = {"run_id": "run0", "w": list(w), "s": list(s)}
@@ -434,8 +476,8 @@ def test_agent_answers_each_phase(example_game):
     assert result["status"] == 0
 
 
-def test_agent_rejects_out_of_order_rounds(example_game):
-    center, th, result = start_agent(example_game, 0, cfg_for())
+def test_agent_rejects_out_of_order_rounds(example_game, pipe):
+    center, th, result = start_agent(pipe, example_game, 0, cfg_for())
     ack(center)
     w, s = example_start()
     base = {"run_id": "run0", "w": list(w), "s": list(s), "phase": "1"}
@@ -448,8 +490,8 @@ def test_agent_rejects_out_of_order_rounds(example_game):
     assert result["status"] == 1
 
 
-def test_agent_rejects_run_id_switch(example_game):
-    center, th, result = start_agent(example_game, 0, cfg_for())
+def test_agent_rejects_run_id_switch(example_game, pipe):
+    center, th, result = start_agent(pipe, example_game, 0, cfg_for())
     ack(center, run_id="run0")
     w, s = example_start()
     send_frame(
@@ -462,8 +504,8 @@ def test_agent_rejects_run_id_switch(example_game):
     assert result["status"] == 1
 
 
-def test_agent_rejects_malformed_broadcast(example_game):
-    center, th, result = start_agent(example_game, 0, cfg_for())
+def test_agent_rejects_malformed_broadcast(example_game, pipe):
+    center, th, result = start_agent(pipe, example_game, 0, cfg_for())
     ack(center)
     send_frame(
         center, "broadcast",
@@ -475,34 +517,34 @@ def test_agent_rejects_malformed_broadcast(example_game):
     assert result["status"] == 1
 
 
-def test_agent_stops_cleanly_on_error_frame(example_game):
-    center, th, result = start_agent(example_game, 0, cfg_for())
+def test_agent_stops_cleanly_on_error_frame(example_game, pipe):
+    center, th, result = start_agent(pipe, example_game, 0, cfg_for())
     send_frame(center, "error", {"message": "rejected"})
     th.join(timeout=5.0)
     assert result["status"] == 1
 
 
-def test_agent_notify_carries_rejection_reason(example_game):
+def test_agent_notify_carries_rejection_reason(example_game, pipe):
     seen = []
-    center, th, result = start_agent(example_game, 0, cfg_for(), notify=seen.append)
+    center, th, result = start_agent(pipe, example_game, 0, cfg_for(), notify=seen.append)
     send_frame(center, "error", {"message": "duplicate agent_id"})
     th.join(timeout=5.0)
     assert result["status"] == 1
     assert seen == ["center rejected hello: duplicate agent_id"]
 
 
-def test_agent_notify_explains_early_shutdown(example_game):
+def test_agent_notify_explains_early_shutdown(example_game, pipe):
     seen = []
-    center, th, result = start_agent(example_game, 0, cfg_for(), notify=seen.append)
+    center, th, result = start_agent(pipe, example_game, 0, cfg_for(), notify=seen.append)
     send_frame(center, "bye", {"reason": "aborted"})
     th.join(timeout=5.0)
     assert result["status"] == 1
     assert seen == ["center shut down before the run started"]
 
 
-def test_agent_flags_aborted_bye_after_ack(example_game):
+def test_agent_flags_aborted_bye_after_ack(example_game, pipe):
     seen = []
-    center, th, result = start_agent(example_game, 0, cfg_for(), notify=seen.append)
+    center, th, result = start_agent(pipe, example_game, 0, cfg_for(), notify=seen.append)
     ack(center)
     send_frame(center, "bye", {"reason": "aborted"})
     th.join(timeout=5.0)
@@ -548,10 +590,10 @@ AGENT_EXIT_TIMEOUT = 2.0
 
 
 @pytest.mark.parametrize("case", sorted(AGENT_EXITS))
-def test_agent_exits_on_bad_center_frames(example_game, case):
+def test_agent_exits_on_bad_center_frames(example_game, case, pipe):
     script, note, error = AGENT_EXITS[case]
     notes = []
-    center, th, result = start_agent(example_game, 0, cfg_for(), notify=notes.append)
+    center, th, result = start_agent(pipe, example_game, 0, cfg_for(), notify=notes.append)
     for item in script:
         if item is CLOSE:
             center.close()
@@ -564,6 +606,15 @@ def test_agent_exits_on_bad_center_frames(example_game, case):
     if error is not None:
         ftype, payload = decode_frame(center.recv_line(AGENT_EXIT_TIMEOUT))
         assert ftype == "error" and error in payload["message"]
+
+
+def test_agent_exits_when_the_center_has_hung_up(example_game, pipe):
+    center, agent_end = pipe()
+    center.close()
+    notes = []
+    status = run_agent(example_game, 0, cfg_for(), agent_end, notify=notes.append, timeout=1.0)
+    assert status == 1
+    assert len(notes) == 1 and notes[0].startswith("sending hello to the center"), notes
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +638,31 @@ def test_inprocess_two_phase_matches_local(example_game_paid):
     fed = run_inprocess_federation(example_game_paid, cfg, "2p-upbred", w0, s0, timeout=10.0)
     assert fed.agent_status == [0, 0]
     assert trace_csv_text(fed.trace) == trace_csv_text(local)
+
+
+@pytest.mark.parametrize("algorithm, eps, outcome", [
+    ("upbred", 0.3, "Converged"),
+    ("upbred", 1e-14, "Error"),  # agent 1's step fails, as in the test below
+    ("2p-upbred", 0.3, ConfigError),  # no linear transfer: the center raises
+], ids=["converged", "agent-failure", "center-raises"])
+def test_inprocess_federation_closes_every_end(example_game, monkeypatch, algorithm, eps, outcome):
+    ends = []
+
+    def recorded_pair():
+        pair = channel_pair()
+        ends.extend(pair)
+        return pair
+
+    monkeypatch.setattr(federation, "channel_pair", recorded_pair)
+    cfg = RunConfig(gamma=0.25, eta=0.25, rounds=3000, eps=eps)
+    args = (example_game, cfg, algorithm, *example_start())
+    if outcome is ConfigError:
+        with pytest.raises(ConfigError):
+            run_inprocess_federation(*args, timeout=10.0)
+    else:
+        assert run_inprocess_federation(*args, timeout=10.0).trace.outcome == outcome
+    assert len(ends) == 2 * example_game.n
+    assert all(ch._sock.fileno() == -1 and ch._file.closed for ch in ends)
 
 
 def test_agent_step_failure_ends_run_promptly(example_game):
@@ -667,9 +743,9 @@ STALL_TIMEOUT = 0.5
 STALL_SLACK = 2.0
 
 
-def test_agent_gives_up_when_center_stalls_after_hello(example_game):
+def test_agent_gives_up_when_center_stalls_after_hello(example_game, pipe):
     notes = []
-    center_end, agent_end = channel_pair()
+    center_end, agent_end = pipe()
     result = {}
 
     def main():
@@ -693,9 +769,9 @@ def test_agent_gives_up_when_center_stalls_after_hello(example_game):
     assert ftype == "error" and "stalled" in payload["message"]
 
 
-def test_agent_gives_up_when_center_never_acknowledges(example_game):
+def test_agent_gives_up_when_center_never_acknowledges(example_game, pipe):
     notes = []
-    center_end, agent_end = channel_pair()
+    center_end, agent_end = pipe()
     start = time.monotonic()
     status = run_agent(
         example_game, 1, cfg_for(), agent_end, notify=notes.append, timeout=STALL_TIMEOUT
