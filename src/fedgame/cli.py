@@ -106,8 +106,7 @@ def _summary_line(trace) -> str:
 def cmd_run(args) -> int:
     if args.listen and args.connect:
         raise ConfigError("--listen and --connect cannot be combined")
-    if not (isfinite(args.timeout) and args.timeout > 0.0):
-        raise ConfigError(f"--timeout must be finite and > 0, got {args.timeout!r}")
+    federation.check_timeout(args.timeout, "--timeout")
     built, text, stem = _built(args)
     if args.connect:
         if args.agent_id is None:

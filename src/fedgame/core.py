@@ -209,7 +209,7 @@ def utilities(g: GameInstance, idx: np.ndarray, w: np.ndarray, S: np.ndarray) ->
     batched oracle call; entry r equals utility(g, idx[r], w, S[r]).utility."""
     idx = np.asarray(idx, dtype=np.intp)
     S = np.asarray(S, dtype=float)
-    values, _, _ = g.accuracy.evaluate(idx, w, S)
+    values = g.accuracy.evaluate(idx, w, S)[0]
     x = S[np.arange(len(idx)), idx]
     if g.payment.kind == "none":
         pay = np.zeros(len(idx))
@@ -220,8 +220,9 @@ def utilities(g: GameInstance, idx: np.ndarray, w: np.ndarray, S: np.ndarray) ->
 
 def evaluate_profile(
     g: GameInstance, w: np.ndarray, s: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(values, dsi, grad_w) of every agent at (w, s): one batched oracle call."""
+) -> tuple[np.ndarray, ...]:
+    """(values, dsi, grad_w) of every agent at (w, s), followed by any column
+    the family appends (see AccuracyModel): one batched oracle call."""
     s = _as_profile(s)
     return g.accuracy.evaluate(g.ids, w, s[None, :].repeat(g.n, axis=0))
 
@@ -300,7 +301,7 @@ def welfare_gradient(g: GameInstance, w: np.ndarray, s: np.ndarray) -> np.ndarra
 
 
 def profile_state(
-    g: GameInstance, s: np.ndarray, rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+    g: GameInstance, s: np.ndarray, rows: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
     """(costs, payments, utilities, welfare, strategy gradient, welfare
     gradient) at profile s from rows = evaluate_profile(g, w, s).  Entry i
@@ -309,7 +310,7 @@ def profile_state(
     rest equal what social_welfare, strategy_gradient and welfare_gradient
     return."""
     s = _as_profile(s)
-    values, dsi, grads = rows
+    values, dsi, grads = rows[:3]
     costs = g.cost.values(g.ids, s)
     pays = payment_vector(g.payment, s)
     utilities = values - costs + pays

@@ -24,10 +24,12 @@ with rows = evaluate_profile(g, w, s), which the round record has already
 computed, and the replies in id order: s_next, shape (n,), the unclamped
 next contributions, and grads, shape (n, m), the agents' accuracy gradients
 in w; a part the phase does not move is None.  LocalPool steps a set of
-agents in process, every agent by default, and reuses rows.  A remote agent
-runs an AgentWorker, the LocalPool of its one id; the federation module's
-RemotePool collects the agents' rows into the same arrays over a transport
-and ignores rows.
+agents in process, every agent by default, and reuses rows: the analytic
+step their slopes and gradients, the empirical step their gradients and the
+test losses the empirical family appends.  A remote agent runs an
+AgentWorker, the LocalPool of its one id, which evaluates its own row; the
+federation module's RemotePool collects the agents' replies into the same
+arrays over a transport and ignores rows.
 """
 
 from __future__ import annotations
@@ -166,6 +168,8 @@ class LocalPool:
     def __init__(
         self, game: GameInstance, cfg: RunConfig, ids: Sequence[int] | None = None
     ) -> None:
+        if cfg.updater == "empirical" and not hasattr(game.accuracy, "local_training_step"):
+            raise ConfigError("the empirical updater requires the empirical accuracy family")
         self.game = game
         self.ids = np.array(game.ids if ids is None else ids, dtype=np.intp)
         self.cfg = cfg
@@ -189,17 +193,18 @@ class LocalPool:
         d = strategy_derivatives(self.game, self.ids, s, dsi)
         return _clamp(s[self.ids] + self.cfg.gamma * d, self._s_hi)
 
-    def _empirical_step(self, w: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _empirical_step(
+        self, w: np.ndarray, s: np.ndarray, rows: tuple
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Difference-quotient contributions and each agent's w-gradient.
-        The test loss at w and the gradient come from one fused pass; the
-        family's gradient ignores s, so it serves either w_grad_at."""
+        The test loss at w and the gradient are the oracle rows' fourth and
+        third columns; the family's gradient ignores s, so it serves either
+        w_grad_at."""
         g = self.game
         out = []
-        grads = np.empty((len(self._id_list), g.m))
         s_hi = self._s_hi.tolist()
-        for r, i in enumerate(self._id_list):
+        for r, (i, loss_before) in enumerate(zip(self._id_list, rows[3].tolist())):
             s_i = float(s[i])
-            loss_before, grads[r] = g.accuracy.test_loss_and_grad_w(i, w)
             trained = g.accuracy.local_training_step(i, w, s_i, self.cfg.learn_rate)
             # no previous contribution yet: a zero step makes the quotient fall back
             s_prev = s_i if self._prev_s[r] is None else self._prev_s[r]
@@ -209,7 +214,7 @@ class LocalPool:
             )
             self._prev_s[r] = s_i
             out.append(nxt)
-        return np.array(out), grads
+        return np.array(out), rows[2]
 
     def _checked(self, grads: np.ndarray) -> np.ndarray:
         if not np.isfinite(grads).all():
@@ -223,18 +228,17 @@ class LocalPool:
         """Phase "1" moves contributions, "2" returns gradients, "single"
         does both; the gradient is taken at the updated or the current
         profile as cfg.w_grad_at says.  rows, when given, are the set's
-        oracle rows at (w, s) and stand in for evaluating them again.  The
-        empirical step does not use them: its fused pass also yields the
-        loss, which rows do not carry."""
+        oracle rows at (w, s) and stand in for evaluating them again, for
+        either updater; without them the step evaluates them itself."""
         if phase not in ("1", "2", "single"):
             raise ConfigError(f"unknown round phase {phase!r}")
         w = np.asarray(w, dtype=float)
         s = np.asarray(s, dtype=float)
-        if phase == "single" and self.cfg.updater == "empirical":
-            s_next, grads = self._empirical_step(w, s)
-            return s_next, self._checked(grads)
         if rows is None:
             rows = self._evaluate(w, s)
+        if phase == "single" and self.cfg.updater == "empirical":
+            s_next, grads = self._empirical_step(w, s, rows)
+            return s_next, self._checked(grads)
         s_next = grads = None
         if phase != "2":
             s_next = self._analytic_step(s, rows[1])

@@ -17,7 +17,9 @@ Either side may send error {message} and drop the connection.  The center
 holds a round barrier: it never broadcasts round t+1 before holding all n
 reports for round t; a missing report after the timeout aborts the run.
 An agent that receives nothing from the center for the same timeout gives
-up with a nonzero status.
+up with a nonzero status.  Every entry point that takes a timeout raises
+ConfigError, before it opens or waits on anything, unless the timeout is
+finite and > 0.
 """
 
 from __future__ import annotations
@@ -186,6 +188,14 @@ def send_frame(channel, ftype: str, payload: dict) -> None:
     channel.send_bytes(encode_frame(ftype, payload))
 
 
+def check_timeout(timeout: float, name: str = "timeout") -> float:
+    """timeout itself when it is finite and > 0, else ConfigError: a NaN
+    deadline is never passed, so a wait on it would never end."""
+    if not (isfinite(timeout) and timeout > 0.0):
+        raise ConfigError(f"{name} must be finite and > 0, got {timeout!r}")
+    return timeout
+
+
 def _best_effort(channel, ftype: str, payload: dict) -> None:
     try:
         send_frame(channel, ftype, payload)
@@ -222,11 +232,11 @@ class RemotePool:
         channels,
         timeout: float = DEFAULT_TIMEOUT,
     ) -> None:
+        self.timeout = check_timeout(timeout)
         if len(channels) != game.n:
             raise ConfigError(f"need exactly {game.n} agent channels, got {len(channels)}")
         self.game = game
         self.cfg = cfg
-        self.timeout = timeout
         self.run_id = derive_run_id(game, cfg, algorithm)
         self.digest = instance_digest(game)
         self._channels = list(channels)
@@ -464,6 +474,7 @@ def run_agent(
     failure of the agent's own computation, which it also reports to the
     center in an error frame.  notify, if given, is called with a one-line
     reason on every failure path."""
+    check_timeout(timeout)
     note = notify if notify is not None else lambda msg: None
     worker = AgentWorker(g, agent_id, cfg)
 
@@ -593,6 +604,7 @@ def run_inprocess_federation(
 ) -> InProcessRun:
     """Full protocol run with every agent on its own thread, each joined to
     the center by a socketpair; every end is closed on return."""
+    check_timeout(timeout)
     center_ends, agent_ends = zip(*(channel_pair() for _ in range(g.n)))
     status = [None] * g.n
 
@@ -624,7 +636,7 @@ def open_listener(host: str, port: int) -> socket.socket:
 def accept_agents(listener: socket.socket, count: int, timeout: float = DEFAULT_TIMEOUT):
     """Accept exactly `count` connections before the per-round protocol starts."""
     channels = []
-    deadline = time.monotonic() + timeout
+    deadline = time.monotonic() + check_timeout(timeout)
     listener.settimeout(1.0)
     while len(channels) < count:
         if time.monotonic() > deadline:
@@ -652,6 +664,7 @@ def connect_agent(
 ) -> int:
     """run_agent over TCP; timeout bounds the connect and every wait for the
     center."""
+    check_timeout(timeout)
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
     except OSError as exc:

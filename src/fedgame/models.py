@@ -26,13 +26,17 @@ from .core import ConfigError, ModelEvalError
 class AccuracyModel(Protocol):
     """Shared accuracy family with per-agent parameters inside.
 
-    evaluate(idx, w, S) is the batched oracle: row r of each of its three
-    results belongs to agent idx[r] at model w and profile S[r] (an array of
-    shape (len(idx), n)), and gives that agent's accuracy, the accuracy's
-    slope in the agent's own contribution, and its gradient in w (shape
-    (len(idx), m)).  A row whose accuracy cannot be evaluated raises
-    ModelEvalError.  value, dsi and grad_w return what the one-row case
-    returns, bit for bit.
+    evaluate(idx, w, S) is the batched oracle: row r of each of its first
+    three results belongs to agent idx[r] at model w and profile S[r] (an
+    array of shape (len(idx), n)), and gives that agent's accuracy, the
+    accuracy's slope in the agent's own contribution, and its gradient in w
+    (shape (len(idx), m)).  A family may append more columns; callers read
+    the first three.  The empirical family appends a fourth, losses: the
+    test loss whose r_i - loss is the accuracy, so that the difference-
+    quotient step need not run the test-set pass again (r_i - accuracy does
+    not always give back the loss's bits).  A row whose accuracy cannot be
+    evaluated raises ModelEvalError.  value, dsi and grad_w return what the
+    one-row case returns, bit for bit.
     """
 
     @property
@@ -43,7 +47,7 @@ class AccuracyModel(Protocol):
 
     def evaluate(
         self, idx: np.ndarray, w: np.ndarray, S: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
+    ) -> tuple[np.ndarray, ...]: ...
 
     def value(self, i: int, w: np.ndarray, s: np.ndarray) -> float: ...
 
@@ -439,16 +443,18 @@ class EmpiricalAccuracy:
 
     def evaluate(
         self, idx: np.ndarray, w: np.ndarray, S: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(values, dsi, grads, losses): the protocol's three columns plus
+        each row's test loss, the exact loss the value subtracts from r."""
         # the test loss ignores s: one fused pass per distinct agent
         ids, rows = np.unique(np.asarray(idx, dtype=np.intp), return_inverse=True)
-        values = np.empty(len(ids))
+        losses = np.empty(len(ids))
         grads = np.empty((len(ids), self.dim))
         for k, i in enumerate(ids.tolist()):
-            loss, grad = _cross_entropy_and_grad(w, self.test_sets[i], self.n_classes)
-            values[k] = float(self.r[i]) - loss
+            losses[k], grad = _cross_entropy_and_grad(w, self.test_sets[i], self.n_classes)
             grads[k] = -grad
-        return values[rows], np.zeros(len(rows)), grads[rows]
+        values = self.r[ids] - losses
+        return values[rows], np.zeros(len(rows)), grads[rows], losses[rows]
 
     def value(self, i: int, w: np.ndarray, s: np.ndarray) -> float:
         return float(self.r[i]) - cross_entropy(w, self.test_sets[i], self.n_classes)
@@ -461,11 +467,6 @@ class EmpiricalAccuracy:
 
     def test_loss(self, i: int, w: np.ndarray) -> float:
         return cross_entropy(w, self.test_sets[i], self.n_classes)
-
-    def test_loss_and_grad_w(self, i: int, w: np.ndarray) -> tuple[float, np.ndarray]:
-        """test_loss and grad_w (at any s) from one fused pass."""
-        loss, grad = _cross_entropy_and_grad(w, self.test_sets[i], self.n_classes)
-        return loss, -grad
 
     def local_training_step(
         self, i: int, w: np.ndarray, s_i: float, learn_rate: float

@@ -3,8 +3,9 @@
 evaluate, the pool step and the best-response scan each agree bit for bit
 with their per-agent forms; a round makes a fixed number of oracle calls,
 and the pool step reuses the round record's rows; a remote agent evaluates
-only its own row; the empirical step's gradients are evaluate rows, taken
-from one fused test-set pass.
+only its own row; the empirical step's gradients and test losses are
+evaluate rows, the record's when it is given them, else from its own one
+fused test-set pass.
 """
 
 import threading
@@ -75,13 +76,15 @@ def random_empirical(rng, n):
 
 
 def check_rows(acc, idx, w, S):
-    values, dsi, grads = acc.evaluate(idx, w, S)
+    out = acc.evaluate(idx, w, S)
+    values, dsi, grads = out[:3]
     assert values.shape == dsi.shape == (len(idx),)
     assert grads.shape == (len(idx), acc.dim)
     for r, i in enumerate(idx.tolist()):
         assert same(values[r], acc.value(i, w, S[r]))
         assert same(dsi[r], acc.dsi(i, w, S[r]))
         assert same(grads[r], acc.grad_w(i, w, S[r]))
+    return out
 
 
 @settings(max_examples=80, deadline=None)
@@ -93,7 +96,7 @@ def test_quadratic_evaluate_matches_per_agent_methods(seed, n, k, sigma0):
     acc = random_quadratic(rng, n, m, sigma0)
     idx = rng.integers(0, n, size=k)  # ids may repeat
     S = spread(rng, (k, n))
-    check_rows(acc, idx, rng.normal(size=m) * 3.0, S)
+    assert len(check_rows(acc, idx, rng.normal(size=m) * 3.0, S)) == 3
     # every row at one profile, as the round record asks
     check_rows(acc, np.arange(n), rng.normal(size=m), S[:1].repeat(n, axis=0))
 
@@ -116,7 +119,12 @@ def test_empirical_evaluate_matches_per_agent_methods(seed, n, k, zero_w):
     acc = random_empirical(rng, n)
     # a zero model gives every class the same logit: all terms tie for the max
     w = np.zeros(acc.dim) if zero_w else rng.normal(size=acc.dim) * 2.0
-    check_rows(acc, rng.integers(0, n, size=k), w, spread(rng, (k, n)))
+    idx = rng.integers(0, n, size=k)
+    out = check_rows(acc, idx, w, spread(rng, (k, n)))
+    # the fourth column is the test loss itself, not r - value
+    assert len(out) == 4 and out[3].shape == (k,)
+    for r, i in enumerate(idx.tolist()):
+        assert same(out[3][r], acc.test_loss(i, w))
 
 
 @settings(max_examples=150, deadline=None)
@@ -253,7 +261,8 @@ def test_clamp_equals_python_min_max(xs):
 
 
 # ---------------------------------------------------------------------------
-# The empirical step: one fused test-set pass per agent-round.
+# The empirical step: no fused test-set pass of its own when given the
+# record's rows, one per agent-round without them.
 
 
 def empirical_config(w_grad_at):
@@ -296,19 +305,42 @@ def test_empirical_step_makes_one_fused_pass_per_agent(monkeypatch, w_grad_at):
     pool = LocalPool(game, cfg)
     workers = [AgentWorker(game, i, cfg) for i in range(game.n)]
     w = rng.normal(size=game.m)
-    # per agent: the fused loss-and-gradient pass at w, the loss at the
-    # trained model and the training gradient
-    expected = {"_cross_entropy_and_grad": game.n, "cross_entropy": game.n,
-                "cross_entropy_grad": game.n}
+    # per agent: the loss at the trained model and the training gradient;
+    # the loss and gradient at w come from the record's rows ...
+    given_rows = {"cross_entropy": game.n, "cross_entropy_grad": game.n}
+    # ... or, for an agent stepped without them, from its own fused pass
+    own_rows = {"_cross_entropy_and_grad": game.n, **given_rows}
     for t in range(3):
+        rows = evaluate_profile(game, w, s)
         passes.clear()
-        pool.step(t, "single", w, s)
-        assert passes == expected
+        pool.step(t, "single", w, s, rows)
+        assert passes == given_rows
         passes.clear()
         for wk in workers:
             wk.step(t, "single", w, s)
-        assert passes == expected
+        assert passes == own_rows
         w = w + 0.1 * rng.normal(size=game.m)
+
+
+@pytest.mark.parametrize("w_grad_at", ["updated", "current"])
+@settings(max_examples=12, deadline=None)
+@given(seed=SEEDS)
+def test_empirical_step_with_record_rows_matches_step_without(w_grad_at, seed):
+    """Over several rounds, a pool given the record's rows and a pool that
+    evaluates its own return the same replies and keep the same quotients."""
+    rng = np.random.default_rng(seed)
+    game, s = step_game(rng, "empirical")
+    cfg = empirical_config(w_grad_at)
+    with_rows, own = LocalPool(game, cfg), LocalPool(game, cfg)
+    w = rng.normal(size=game.m)
+    for t in range(4):
+        got = with_rows.step(t, "single", w, s, evaluate_profile(game, w, s))
+        expected = own.step(t, "single", w, s, None)
+        for a, b in zip(got, expected):
+            assert same(a, b)
+        s = np.clip(got[0], 0.0, game.s_max)
+        w = w + 0.1 * rng.normal(size=game.m)
+    assert same(with_rows._last_quotient, own._last_quotient)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,16 @@ def test_run_config_validation():
         RunConfig(gamma=0.1, eta=0.1, rounds=10, eps=float("inf"))
 
 
+def test_empirical_updater_requires_the_empirical_family(example_game):
+    cfg = RunConfig(gamma=0.25, eta=0.25, rounds=3, updater="empirical")
+    for make in (
+        lambda: run_dynamic(example_game, cfg, "upbred"),
+        lambda: AgentWorker(example_game, 0, cfg),
+    ):
+        with pytest.raises(ConfigError, match="requires the empirical accuracy family"):
+            make()
+
+
 def test_upbred_example_trajectory(example_game):
     w0, s0 = example_start()
     cfg = RunConfig(gamma=0.25, eta=0.25, rounds=50, eps=0.3)

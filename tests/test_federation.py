@@ -726,6 +726,59 @@ def test_accept_agents_times_out():
         listener.close()
 
 
+def outcome_within(fn, seconds=1.0):
+    """(finished, exception) of fn run on a daemon thread for at most
+    `seconds`.  A deadline of NaN or infinity never passes, so a call that
+    does not check its timeout is left waiting on the thread and reads as
+    not finished, rather than hanging the test."""
+    raised = []
+
+    def target():
+        try:
+            fn()
+        except BaseException as exc:
+            raised.append(exc)
+
+    th = threading.Thread(target=target, daemon=True)
+    th.start()
+    th.join(seconds)
+    return not th.is_alive(), (raised[0] if raised else None)
+
+
+@pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0], ids=["nan", "inf", "zero"])
+@pytest.mark.parametrize("entry", [
+    "accept_agents", "RemotePool", "serve_center", "run_agent", "connect_agent",
+    "run_inprocess_federation",
+])
+def test_bad_timeout_raises_before_any_wait(example_game, pipe, entry, timeout):
+    cfg = cfg_for()
+    listener = open_listener("127.0.0.1", 0)
+    port = listener.getsockname()[1]
+    calls = {
+        "accept_agents": lambda: accept_agents(listener, 1, timeout=timeout),
+        "RemotePool": lambda: manual_pool(pipe, example_game, timeout=timeout),
+        "serve_center": lambda: serve_center(
+            example_game, cfg, "upbred", [pipe()[0] for _ in range(example_game.n)],
+            timeout=timeout,
+        ),
+        "run_agent": lambda: run_agent(example_game, 0, cfg, pipe()[1], timeout=timeout),
+        # the listener never accepts: a connect that went ahead would hang
+        "connect_agent": lambda: connect_agent(
+            example_game, 0, cfg, "127.0.0.1", port, timeout=timeout
+        ),
+        "run_inprocess_federation": lambda: run_inprocess_federation(
+            example_game, cfg, "upbred", timeout=timeout
+        ),
+    }
+    try:
+        finished, exc = outcome_within(calls[entry])
+        assert finished
+        assert isinstance(exc, ConfigError), exc
+        assert str(exc) == f"timeout must be finite and > 0, got {timeout!r}"
+    finally:
+        listener.close()
+
+
 def test_connect_agent_unreachable(example_game):
     # grab an ephemeral port and close it so nothing listens there
     probe = socket.socket()
