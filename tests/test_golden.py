@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from fedgame.analysis import certify_nash
+from fedgame.analysis import assumption_samples, certify_nash, compute_w_opt, estimate_matrices
 from fedgame.cli import main
 from fedgame.config import build_scenario, parse_scenario
 from fedgame.dynamics import run_dynamic
@@ -168,6 +168,18 @@ BOUNDS = {
 }
 
 
+# sha256 of the repr of G, G~, H and H~ (as nested float lists) from
+# estimate_matrices at each of assumption_samples(g, count=6), followed by
+# compute_w_opt(g)'s w_opt, welfare, grad_norm, iterations and converged:
+# the raw curvature bits behind the constants the bounds digests pin
+CURVATURE = {
+    "empirical-small": "eeaa700c34c68666745bcf4eb7591a42ddb9acd617c29687adfe369ce300b5a0",
+    "example1-2p": "3cf62ace9f31e6da83bf828b98c805ec1e12a95a2a54d58f3c8bebe09b257214",
+    "example1-upbred": "0f0148ff729175a720c4e76d3e18db23807ecbcb4f0b4fb69ee99605c3415258",
+    "quad5": "cf6466ca1ae765eb00d3843744107ed8618adedc34877da649875277145d9d40",
+}
+
+
 def built(name, overrides=()):
     return build_scenario(parse_scenario(builtin_text(name), list(overrides)))
 
@@ -241,3 +253,15 @@ def test_golden_bounds_output(name, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BOUNDS[name]
 
+
+
+@pytest.mark.parametrize("name", sorted(CURVATURE))
+def test_golden_curvature_matrices(name):
+    g = built(name).game
+    parts = []
+    for w, s in assumption_samples(g, count=6):
+        est = estimate_matrices(g, w, s)
+        parts.append([a.tolist() for a in (est.G, est.G_tilde, est.H, est.H_tilde)])
+    opt = compute_w_opt(g)
+    parts.append((opt.w_opt.tolist(), opt.welfare, opt.grad_norm, opt.iterations, opt.converged))
+    assert hashlib.sha256(repr(parts).encode("utf-8")).hexdigest() == CURVATURE[name]
