@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import inf, isnan, sqrt
+from math import inf, isfinite, isnan, sqrt
 
 import numpy as np
 from scipy.stats import qmc
@@ -25,13 +25,16 @@ from .core import (
     payment,
     social_welfare,
     utilities,
-    utility,
     welfare_gradient,
 )
 
-REGRET_FLOOR = -1e-12
 GOLDEN_XTOL = 1e-8
 NSD_TOL = 1e-9
+# assumption_samples keeps contributions this fraction of s_max off each edge
+INTERIOR_MARGIN = 0.05
+# compute_w_opt stops once the welfare gradient norm falls below this
+W_OPT_TOL = 1e-6
+W_OPT_MAX_ITERS = 10000
 
 
 def _own_utility(g: GameInstance, i: int, w: np.ndarray, s: np.ndarray, x: float) -> float:
@@ -78,7 +81,6 @@ def best_response(
     s: np.ndarray,
     i: int,
     grid_points: int = 201,
-    xtol: float = GOLDEN_XTOL,
 ) -> tuple[float, float]:
     """(argmax, max) of agent i's utility over its contribution interval."""
     if grid_points < 3:
@@ -95,7 +97,7 @@ def best_response(
     best = int(np.argmax(vals))  # first maximum: ties keep the smaller contribution
     lo_b = xs[max(best - 1, 0)]
     hi_b = xs[min(best + 1, grid_points - 1)]
-    x_ref, v_ref = _golden_max(f, float(lo_b), float(hi_b), xtol)
+    x_ref, v_ref = _golden_max(f, float(lo_b), float(hi_b), GOLDEN_XTOL)
     if v_ref > vals[best]:
         return x_ref, v_ref
     return float(xs[best]), vals[best]
@@ -183,14 +185,6 @@ class BudgetAudit:
     threshold: float
     vacuous: bool  # True when the rule moves no money
 
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_abs_sum": self.max_abs_sum,
-            "threshold": self.threshold,
-            "vacuous": self.vacuous,
-        }
-
 
 def audit_budget_balance(rule: PaymentRule, profiles) -> BudgetAudit:
     """Check that transfers sum to zero on every profile, to rounding."""
@@ -228,14 +222,6 @@ class Matrices:
     H_tilde: np.ndarray
 
 
-def _fd_steps(x: np.ndarray, fd_step: float | None) -> np.ndarray:
-    if fd_step is not None:
-        if fd_step <= 0.0:
-            raise ConfigError("fd_step must be positive")
-        return np.full(len(x), float(fd_step))
-    return np.array([1e-4 * max(1.0, abs(float(v))) for v in x])
-
-
 def _second_difference(f, x: np.ndarray, h: np.ndarray, p: int, q: int) -> float:
     """Central second difference of f at x in coordinates p and q with steps
     h: the 3-point form when p == q, the 4-point mixed form otherwise."""
@@ -252,12 +238,7 @@ def _second_difference(f, x: np.ndarray, h: np.ndarray, p: int, q: int) -> float
     return (f_at(hp, hq) - f_at(hp, -hq) - f_at(-hp, hq) + f_at(-hp, -hq)) / (4.0 * hp * hq)
 
 
-def estimate_matrices(
-    g: GameInstance,
-    w: np.ndarray,
-    s: np.ndarray,
-    fd_step: float | None = None,
-) -> Matrices:
+def estimate_matrices(g: GameInstance, w: np.ndarray, s: np.ndarray) -> Matrices:
     """Central-difference estimates of the four curvature blocks.
 
     The profile must be strictly interior; steps in contribution coordinates
@@ -268,18 +249,16 @@ def estimate_matrices(
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0.0) or np.any(s >= g.s_max):
         raise ConfigError("curvature estimation requires a strictly interior profile")
-    hs = _fd_steps(s, fd_step)
-    hs = np.minimum(hs, np.minimum(s, g.s_max - s) / 2.0)
-    if np.any(hs <= 0.0):
-        raise ConfigError("profile too close to the boundary for two-sided differences")
-    hw = _fd_steps(w, fd_step)
     n, m = g.n, g.m
     # one stencil over the joint point x = (w, s): w_k is x[k], s_i is x[m + i]
     x = np.concatenate([w, s])
-    h = np.concatenate([hw, hs])
+    h = np.array([1e-4 * max(1.0, abs(v)) for v in x.tolist()])
+    h[m:] = np.minimum(h[m:], np.minimum(s, g.s_max - s) / 2.0)
+    if np.any(h[m:] <= 0.0):
+        raise ConfigError("profile too close to the boundary for two-sided differences")
 
     def u(i: int):
-        return lambda xv: utility(g, i, xv[:m], xv[m:]).utility
+        return lambda xv: _own_utility(g, i, xv[:m], xv[m:], float(xv[m + i]))
 
     def acc_sum(xv: np.ndarray) -> float:
         wv, sv = xv[:m], xv[m:]
@@ -325,34 +304,26 @@ def quadratic_matrices(g: GameInstance, w: np.ndarray, s: np.ndarray) -> Matrice
 
 
 def assumption_samples(
-    g: GameInstance,
-    count: int = 64,
-    w_center: np.ndarray | None = None,
-    w_radius: float = 1.0,
-    interior_margin: float = 0.05,
+    g: GameInstance, count: int = 64, w_radius: float = 1.0
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Deterministic low-discrepancy sample of interior (w, s) points.
 
     Contributions are mapped into [margin, s_max - margin] per agent so all
-    points admit two-sided difference stencils.
+    points admit two-sided difference stencils; w lies in the cube of half
+    side w_radius around the origin.
     """
     if count < 1:
         raise ConfigError("sample count must be >= 1")
-    n, m = g.n, g.m
+    if not (isfinite(w_radius) and w_radius >= 0.0):
+        raise ConfigError("w_radius must be finite and >= 0")
+    n = g.n
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        pts = qmc.Sobol(d=n + m, scramble=False).random(count)
-    center = np.zeros(m) if w_center is None else np.asarray(w_center, dtype=float)
-    out = []
-    for row in pts:
-        sv = np.empty(n)
-        for i in range(n):
-            hi = g.agents[i].s_max
-            lo_i, hi_i = interior_margin * hi, (1.0 - interior_margin) * hi
-            sv[i] = lo_i + row[i] * (hi_i - lo_i)
-        wv = center + (2.0 * row[n:] - 1.0) * w_radius
-        out.append((wv, sv))
-    return out
+        pts = qmc.Sobol(d=n + g.m, scramble=False).random(count)
+    lo, hi = INTERIOR_MARGIN * g.s_max, (1.0 - INTERIOR_MARGIN) * g.s_max
+    S = lo + pts[:, :n] * (hi - lo)
+    W = 0.0 + (2.0 * pts[:, n:] - 1.0) * w_radius  # 0.0 +: no -0.0 at w_radius 0
+    return list(zip(W, S))
 
 
 @dataclass(frozen=True)
@@ -396,7 +367,6 @@ def check_assumption1(
     g: GameInstance,
     lam: float = 0.0,
     lam_tilde: float = 0.0,
-    fd_step: float | None = None,
 ) -> AssumptionEstimates:
     """Estimate curvature constants over a point sample and test the claimed
     strong-concavity levels against the symmetric parts of G and G_tilde."""
@@ -410,7 +380,7 @@ def check_assumption1(
     L = Lt = P = Pt = 0.0
     nsd_s = nsd_p = True
     for wv, sv in samples:
-        est = estimate_matrices(g, wv, sv, fd_step)
+        est = estimate_matrices(g, wv, sv)
         top = _sym_max_eig(est.G)
         topt = _sym_max_eig(est.G_tilde)
         lam_est = min(lam_est, -top)
@@ -518,34 +488,25 @@ class WelfareOptResult:
     converged: bool
 
 
-def compute_w_opt(
-    g: GameInstance,
-    tol: float = 1e-6,
-    max_iters: int = 10000,
-    step0: float = 1.0,
-) -> WelfareOptResult:
+def compute_w_opt(g: GameInstance) -> WelfareOptResult:
     """Benchmark model: gradient ascent on welfare at full contributions,
     with backtracking line search, started from the zero model."""
     s = g.s_max
     w = np.zeros(g.m)
-    lr = step0
-
-    def value(wv: np.ndarray) -> float:
-        return social_welfare(g, wv, s)
-
-    f = value(w)
+    lr = 1.0
+    f = social_welfare(g, w, s)
     it = 0
     converged = False
-    while it < max_iters:
+    while it < W_OPT_MAX_ITERS:
         grad = g.n * welfare_gradient(g, w, s)  # welfare gradient, not the mean
         gn = float(np.linalg.norm(grad))
-        if gn < tol:
+        if gn < W_OPT_TOL:
             converged = True
             break
         for _ in range(60):
             trial = w + lr * grad
             try:
-                f_trial = value(trial)
+                f_trial = social_welfare(g, trial, s)
             except ModelEvalError:
                 f_trial = -inf
             if f_trial >= f + 1e-4 * lr * gn**2:
@@ -562,7 +523,7 @@ def compute_w_opt(
         welfare=f,
         grad_norm=float(np.linalg.norm(grad)),
         iterations=it,
-        converged=converged or float(np.linalg.norm(grad)) < tol,
+        converged=converged or float(np.linalg.norm(grad)) < W_OPT_TOL,
     )
 
 
@@ -572,14 +533,6 @@ class ContractionReport:
     rounds: np.ndarray  # round index of each ratio's numerator
     max_ratio: float
     geo_mean: float
-
-    def as_dict(self) -> dict:
-        return {
-            "ratios": [float(r) for r in self.ratios],
-            "rounds": [int(t) for t in self.rounds],
-            "max_ratio": self.max_ratio,
-            "geo_mean": self.geo_mean,
-        }
 
 
 DENOM_FLOOR = 1e-14

@@ -21,6 +21,7 @@ from . import analysis, federation, scenarios, traceio
 from .config import BuiltScenario, build_scenario, parse_scenario
 from .core import ConfigError, GameError, strategy_gradient, welfare_gradient
 from .dynamics import (
+    check_smoothness,
     contraction_factor,
     corollary_bound,
     iteration_bound_T0,
@@ -34,6 +35,14 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_REFUTED = 3
+
+# The six curvature constants of `bounds`, as AssumptionEstimates and the
+# step-size functions name them; each has a flag, see _flag.
+CONSTANTS = ("lam", "lam_tilde", "L", "L_tilde", "P", "P_tilde")
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _load_config_text(name_or_path: str) -> tuple[str, str]:
@@ -265,39 +274,36 @@ def cmd_bounds(args) -> int:
     built, _text, stem = _built(args)
     g = built.game
     cfg = built.run
-    doc: dict = {"n": g.n, "m": g.m, "gamma": cfg.gamma, "eta": cfg.eta, "eps": cfg.eps}
+    M, nu = args.M, args.nu
+    if M is None:
+        if nu is not None:
+            raise ConfigError("--nu requires --M")
+        if isinstance(g.accuracy, QuadraticAccuracy):
+            M = nu = 2.0 / (g.accuracy.sigma0 + float(np.sum(g.s_max)))
+    elif nu is None:
+        nu = M
+    if M is not None:
+        check_smoothness(M, nu)
+    doc: dict = {"n": g.n, "m": g.m, "gamma": cfg.gamma, "eta": cfg.eta, "eps": cfg.eps,
+                 "M": M, "nu": nu}
 
+    consts = {name: getattr(args, name) for name in CONSTANTS}
+    doc["constants_source"] = args.constants
     if args.constants == "explicit":
-        needed = {"lam": args.lam, "lam_tilde": args.lam_tilde, "L": args.L,
-                  "L_tilde": args.L_tilde, "P": args.P, "P_tilde": args.P_tilde}
-        missing = [k for k, v in needed.items() if v is None]
+        missing = [_flag(k) for k, v in consts.items() if v is None]
         if missing:
-            raise ConfigError(f"explicit constants require --{', --'.join(missing)}")
-        lam, lam_tilde = args.lam, args.lam_tilde
-        L, L_tilde, P, P_tilde = args.L, args.L_tilde, args.P, args.P_tilde
-        doc["constants_source"] = "explicit"
+            raise ConfigError(f"explicit constants require {', '.join(missing)}")
     else:
-        given = {"lam": args.lam, "lam_tilde": args.lam_tilde, "L": args.L,
-                 "L_tilde": args.L_tilde, "P": args.P, "P_tilde": args.P_tilde}
-        stray = [k for k, v in given.items() if v is not None]
+        stray = [_flag(k) for k, v in consts.items() if v is not None]
         if stray:
-            raise ConfigError(
-                f"--{', --'.join(stray)} require --constants explicit"
-            )
-        samples = analysis.assumption_samples(
-            g, count=args.samples, w_radius=args.w_radius
-        )
+            raise ConfigError(f"{', '.join(stray)} require --constants explicit")
+        samples = analysis.assumption_samples(g, count=args.samples, w_radius=args.w_radius)
         est = analysis.check_assumption1(samples, g)
-        lam, lam_tilde = est.lam, est.lam_tilde
-        L, L_tilde, P, P_tilde = est.L, est.L_tilde, est.P, est.P_tilde
-        doc["constants_source"] = "estimated"
+        consts = {name: getattr(est, name) for name in CONSTANTS}
         doc["estimates"] = est.as_dict()
-    doc["constants"] = {
-        "lambda": lam, "lambda_tilde": lam_tilde, "L": L, "L_tilde": L_tilde,
-        "P": P, "P_tilde": P_tilde,
-    }
+    doc["constants"] = {k.replace("lam", "lambda"): v for k, v in consts.items()}  # JSON keys
 
-    region = analysis.feasible_steps(g.n, g.m, L, L_tilde, lam, lam_tilde, P, P_tilde)
+    region = analysis.feasible_steps(g.n, g.m, **consts)
     doc["feasible_steps"] = region.as_dict()
 
     E = float(
@@ -306,9 +312,7 @@ def cmd_bounds(args) -> int:
     )
     doc["E"] = E
     try:
-        w1, w2, W = contraction_factor(
-            cfg.gamma, cfg.eta, g.n, g.m, L, L_tilde, lam, lam_tilde, P, P_tilde
-        )
+        w1, w2, W = contraction_factor(cfg.gamma, cfg.eta, g.n, g.m, **consts)
         doc["W"] = {"W1": w1, "W2": w2, "W": W}
         doc["T0"] = iteration_bound_T0(E, cfg.eps, W) if W < 1.0 else None
     except GameError as exc:
@@ -316,26 +320,15 @@ def cmd_bounds(args) -> int:
         doc["T0"] = None
         doc["W_note"] = str(exc)
 
-    M = args.M
-    nu = args.nu
-    if M is None and isinstance(g.accuracy, QuadraticAccuracy):
-        M = nu = 2.0 / (g.accuracy.sigma0 + float(np.sum(g.s_max)))
-    if nu is None:
-        nu = M
-    doc["M"] = M
-    doc["nu"] = nu
-
     doc["kappa"] = None
     doc["T0_two_phase"] = None
     doc["T0_corollary"] = None
     if M is not None:
-        if nu is None or not 0.0 < nu <= M:
-            raise ConfigError("need 0 < nu <= M")
         opt = analysis.compute_w_opt(g)
         if predicted_phase1_rounds(g, cfg, built.s0) is not None:
             f0 = (opt.welfare - analysis.social_welfare(g, built.w0, g.s_max)) / g.n
             doc["kappa"], doc["T0_two_phase"] = iteration_bounds_two_phase(
-                g, cfg, built.s0, f0, 0.0, M, nu
+                g, cfg, built.s0, f0, M, nu
             )
         doc["T0_corollary"] = corollary_bound(
             float(np.linalg.norm(built.w0 - opt.w_opt)), cfg.eps, M, nu
@@ -386,8 +379,8 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
-    p.add_argument("--config", required=config_required,
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True,
                    help="scenario file path or bundled name")
     p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                    help="override a config entry (repeatable)")
@@ -437,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constants", choices=("estimated", "explicit"), default="estimated")
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--w-radius", type=float, default=1.0)
-    for name in ("lam", "lam-tilde", "L", "L-tilde", "P", "P-tilde", "M", "nu"):
-        p.add_argument(f"--{name}", type=float, default=None)
+    for name in CONSTANTS + ("M", "nu"):
+        p.add_argument(_flag(name), type=float, default=None)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("diagnose", help="contraction ratios and final-round table")

@@ -555,12 +555,18 @@ def iteration_bound_T0(E: float, eps: float, W: float) -> int:
     return _ceil_guarded(log(E / eps) / log(1.0 / W))
 
 
+def check_smoothness(M: float, nu: float) -> None:
+    """The smoothness M and strong convexity nu behind both training-phase
+    bounds: M finite and 0 < nu <= M."""
+    if not (isfinite(M) and 0.0 < nu <= M):
+        raise ConfigError(f"need 0 < nu <= M with M finite, got M={M}, nu={nu}")
+
+
 def iteration_bounds_two_phase(
     g: GameInstance,
     cfg: RunConfig,
     s0: np.ndarray,
     f0: float,
-    f_opt: float,
     M: float,
     nu: float,
 ) -> tuple[int, int]:
@@ -568,7 +574,7 @@ def iteration_bounds_two_phase(
 
     kappa is predicted_phase1_rounds(g, cfg, s0).  T0 bounds gradient descent
     with step 1/M on an M-smooth, nu-strongly convex objective from value gap
-    f0 - f_opt down to cfg.eps.
+    f0 to the optimum down to cfg.eps.
     """
     kappa = predicted_phase1_rounds(g, cfg, s0)
     if kappa is None:
@@ -576,10 +582,9 @@ def iteration_bounds_two_phase(
             "phase-one bound needs a linear transfer rule whose level exceeds "
             f"every marginal cost at the ceiling (largest {g.cost.max_deriv(g.s_max)})"
         )
-    if not 0.0 < nu <= M:
-        raise ConfigError("need 0 < nu <= M")
+    check_smoothness(M, nu)
     # the value gap contracts by 1 - nu/M per step; nu == M is one exact step
-    return kappa, iteration_bound_T0(max(f0 - f_opt, 0.0), cfg.eps, 1.0 - nu / M)
+    return kappa, iteration_bound_T0(max(f0, 0.0), cfg.eps, 1.0 - nu / M)
 
 
 def corollary_bound(w0_dist: float, eps: float, M: float, nu: float) -> int:
@@ -587,8 +592,7 @@ def corollary_bound(w0_dist: float, eps: float, M: float, nu: float) -> int:
     2/(M + nu): rounds to bring |w0 - w_opt| below eps."""
     if eps <= 0.0:
         raise ConfigError("eps must be positive")
-    if not 0.0 < nu <= M:
-        raise ConfigError("need 0 < nu <= M")
+    check_smoothness(M, nu)
     if w0_dist <= eps:
         return 0
     q = nu / M

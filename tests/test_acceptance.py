@@ -130,7 +130,7 @@ def test_criterion_05_two_phase_guarantees():
     assert M == pytest.approx(0.2, abs=1e-15)
 
     f0 = (compute_w_opt(g).welfare - social_welfare(g, b.w0, g.s_max)) / g.n
-    kappa, t0 = iteration_bounds_two_phase(g, b.run, b.s0, f0, 0.0, M, M)
+    kappa, t0 = iteration_bounds_two_phase(g, b.run, b.s0, f0, M, M)
 
     phase1 = [r for r in trace.records if r.phase == "1"]
     phase2 = [r for r in trace.records if r.phase == "2"]

@@ -193,13 +193,42 @@ def test_bounds_explicit_requires_all_constants(capsys):
         "--lam", "1.1",
     )
     assert code == 1
-    assert "explicit constants require" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: explicit constants require --lam-tilde, --L, --L-tilde, --P, --P-tilde\n"
+    )
 
 
 def test_bounds_rejects_constant_flags_in_estimated_mode(capsys):
     code = run_cli("bounds", "--config", "example1-2p", "--lam", "1.1")
     assert code == 1
     assert "--constants explicit" in capsys.readouterr().err
+    code = run_cli("bounds", "--config", "example1-2p", "--lam-tilde", "1", "--P-tilde", "2")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: --lam-tilde, --P-tilde require --constants explicit\n"
+    )
+
+
+@pytest.mark.parametrize("config", ["quad5", "empirical-small"])
+def test_bounds_nu_without_M_is_validation_error(config, capsys):
+    code = run_cli("bounds", "--config", config, "--samples", "1", "--nu", "0.05")
+    assert code == 1
+    assert capsys.readouterr().err == "error: --nu requires --M\n"
+
+
+@pytest.mark.parametrize("extra", [("--M", "inf", "--nu", "0.1"), ("--M", "inf"),
+                                   ("--M", "nan"), ("--M", "1", "--nu", "2")])
+def test_bounds_needs_finite_M_and_nu_in_range(extra, capsys):
+    code = run_cli("bounds", "--config", "quad5", "--samples", "1", *extra)
+    assert code == 1
+    assert "need 0 < nu <= M with M finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "-1"])
+def test_bounds_rejects_bad_w_radius(radius, capsys):
+    code = run_cli("bounds", "--config", "quad5", "--samples", "1", f"--w-radius={radius}")
+    assert code == 1
+    assert capsys.readouterr().err == "error: w_radius must be finite and >= 0\n"
 
 
 def test_diagnose_reports_ratios_and_final_table(tmp_path, capsys):

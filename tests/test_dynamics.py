@@ -379,7 +379,7 @@ def test_iteration_bound_t0():
 def test_iteration_bounds_two_phase_hand_case(example_game_paid):
     cfg = RunConfig(gamma=0.5, eta=5.0, rounds=10, eps=1e-6)
     kappa, t0 = iteration_bounds_two_phase(
-        example_game_paid, cfg, np.array([2.5, 2.5]), f0=0.5, f_opt=0.0, M=0.2, nu=0.2
+        example_game_paid, cfg, np.array([2.5, 2.5]), f0=0.5, M=0.2, nu=0.2
     )
     assert kappa == 500
     assert t0 == 1  # nu == M collapses the rate to a single step
@@ -388,7 +388,7 @@ def test_iteration_bounds_two_phase_hand_case(example_game_paid):
 def test_iteration_bounds_two_phase_geometric_tail():
     g = quadratic_game(2, 1, (0.0,), 1.0, 1.0, 0.0, payment=PaymentRule.linear(1.0))
     cfg = RunConfig(gamma=1.0, eta=1.0, rounds=10, eps=1e-3)
-    kappa, t0 = iteration_bounds_two_phase(g, cfg, np.zeros(2), f0=1.0, f_opt=0.0, M=2.0, nu=1.0)
+    kappa, t0 = iteration_bounds_two_phase(g, cfg, np.zeros(2), f0=1.0, M=2.0, nu=1.0)
     assert kappa == 1
     # rate 1 - nu/M = 1/2: need ceil(log2(1000)) rounds
     assert t0 == 10
@@ -398,9 +398,9 @@ def test_iteration_bounds_two_phase_rejects_nonpositive_margin(example_game):
     g = quadratic_game(2, 1, (0.0,), 1.0, 1.0, 0.2, payment=PaymentRule.linear(0.1))
     cfg = RunConfig(gamma=1.0, eta=1.0, rounds=10, eps=1e-3)
     with pytest.raises(ConfigError):
-        iteration_bounds_two_phase(g, cfg, np.zeros(2), 1.0, 0.0, 1.0, 1.0)
+        iteration_bounds_two_phase(g, cfg, np.zeros(2), 1.0, 1.0, 1.0)
     with pytest.raises(ConfigError):  # no transfer rule at all
-        iteration_bounds_two_phase(example_game, cfg, np.zeros(2), 1.0, 0.0, 1.0, 1.0)
+        iteration_bounds_two_phase(example_game, cfg, np.zeros(2), 1.0, 1.0, 1.0)
 
 
 def _corollary_reference(w0_dist, eps, M, nu):
@@ -439,3 +439,16 @@ def test_corollary_bound():
     assert corollary_bound(9.0, 1.0, 2.0, 1.0) == 2
     with pytest.raises(ConfigError):
         corollary_bound(1.0, 1e-3, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("M, nu", [
+    (1.0, 2.0), (1.0, 0.0), (1.0, -1.0), (float("inf"), 0.1), (float("inf"), float("inf")),
+    (float("nan"), 0.1), (1.0, float("nan")),
+])
+def test_training_bounds_share_one_smoothness_check(example_game_paid, M, nu):
+    """Both training-phase bounds need 0 < nu <= M with M finite."""
+    cfg = RunConfig(gamma=0.5, eta=5.0, rounds=10, eps=1e-6)
+    with pytest.raises(ConfigError, match="0 < nu <= M with M finite"):
+        corollary_bound(1.0, 1e-3, M, nu)
+    with pytest.raises(ConfigError, match="0 < nu <= M with M finite"):
+        iteration_bounds_two_phase(example_game_paid, cfg, np.array([2.5, 2.5]), 0.5, M, nu)
