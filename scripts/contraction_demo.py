@@ -48,7 +48,9 @@ class SeparableAccuracy:
         return -self.alpha * (np.asarray(w, dtype=float) - self.w_bar)
 
     def evaluate(self, idx, w, S):
-        """Row r: agent idx[r] at (w, S[r]), one per-agent call at a time."""
+        """Row r: agent idx[r] at (w, S[r]), or at the one row of S that every
+        agent shares, one per-agent call at a time."""
+        S = np.broadcast_to(S, (len(idx), np.shape(S)[-1]))
         rows = [(self.value(i, w, s), self.dsi(i, w, s), self.grad_w(i, w, s))
                 for i, s in zip(idx, S)]
         values, dsi, grads = zip(*rows)

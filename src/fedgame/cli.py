@@ -19,7 +19,13 @@ import numpy as np
 
 from . import analysis, federation, scenarios, traceio
 from .config import BuiltScenario, build_scenario, parse_scenario
-from .core import ConfigError, GameError, strategy_gradient, welfare_gradient
+from .core import (
+    ConfigError,
+    GameError,
+    evaluate_profile,
+    strategy_gradient,
+    welfare_gradient,
+)
 from .dynamics import (
     check_smoothness,
     contraction_factor,
@@ -298,6 +304,13 @@ def cmd_bounds(args) -> int:
         if stray:
             raise ConfigError(f"{', '.join(stray)} require --constants explicit")
         samples = analysis.assumption_samples(g, count=args.samples, w_radius=args.w_radius)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = all(np.isfinite(evaluate_profile(g, w, s)[0]).all() for w, s in samples)
+        if not finite:
+            raise ConfigError(
+                f"--w-radius {args.w_radius!r} reaches parameters where the accuracy "
+                "is not finite"
+            )
         est = analysis.check_assumption1(samples, g)
         consts = {name: getattr(est, name) for name in CONSTANTS}
         doc["estimates"] = est.as_dict()

@@ -222,9 +222,10 @@ def evaluate_profile(
     g: GameInstance, w: np.ndarray, s: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """(values, dsi, grad_w) of every agent at (w, s), followed by any column
-    the family appends (see AccuracyModel): one batched oracle call."""
+    the family appends (see AccuracyModel): one batched oracle call, whose
+    agents all share the profile row s."""
     s = _as_profile(s)
-    return g.accuracy.evaluate(g.ids, w, s[None, :].repeat(g.n, axis=0))
+    return g.accuracy.evaluate(g.ids, w, s[None, :])
 
 
 def _left_sum(a: np.ndarray):
@@ -301,14 +302,19 @@ def welfare_gradient(g: GameInstance, w: np.ndarray, s: np.ndarray) -> np.ndarra
 
 
 def profile_state(
-    g: GameInstance, s: np.ndarray, rows: tuple[np.ndarray, ...]
+    g: GameInstance,
+    s: np.ndarray,
+    rows: tuple[np.ndarray, ...],
+    gv: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
     """(costs, payments, utilities, welfare, strategy gradient, welfare
     gradient) at profile s from rows = evaluate_profile(g, w, s).  Entry i
     of the first three is agent i's part of utility(g, i, w, s), and
     utilities = values - costs + payments adds in the order it does; the
     rest equal what social_welfare, strategy_gradient and welfare_gradient
-    return."""
+    return.  gv, when given, is that strategy gradient, already computed
+    from rows, and is returned as it is; otherwise it is computed after the
+    utilities are checked."""
     s = _as_profile(s)
     values, dsi, grads = rows[:3]
     costs = g.cost.values(g.ids, s)
@@ -317,7 +323,8 @@ def profile_state(
     bad = ~np.isfinite(utilities)
     if bad.any():
         raise NumericError(f"non-finite utility for agent {int(np.argmax(bad))}")
-    gv = strategy_derivatives(g, g.ids, s, dsi)
+    if gv is None:
+        gv = strategy_derivatives(g, g.ids, s, dsi)
     return costs, pays, utilities, float(_left_sum(values)), gv, _mean_gradient(g, grads)
 
 

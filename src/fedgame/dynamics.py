@@ -15,21 +15,25 @@ how many updates it may take.  The four dynamics in ALGORITHMS:
 * fedavg: mechanism-free baseline; the center trains with contributions
   pinned at the ceiling and transfers removed.
 
-All of them share the per-round agent computation.  A pool object hides
-where agents live.  Its contract is
+All of them share the per-round agent computation.  Each round evaluates
+its state once: the oracle rows evaluate_profile(g, w, s) and the agents'
+strategy derivatives there, which the handover, the round record and the
+step all read.  A pool object hides where agents live.  Its contract is
 
-    pool.step(t, phase, w, s, rows) -> (s_next, grads)
+    pool.step(t, phase, w, s, rows, derivatives) -> (s_next, grads)
 
-with rows = evaluate_profile(g, w, s), which the round record has already
-computed, and the replies in id order: s_next, shape (n,), the unclamped
-next contributions, and grads, shape (n, m), the agents' accuracy gradients
-in w; a part the phase does not move is None.  LocalPool steps a set of
-agents in process, every agent by default, and reuses rows: the analytic
-step their slopes and gradients, the empirical step their gradients and the
+with rows = evaluate_profile(g, w, s) and derivatives = strategy_derivatives
+at rows, both of which the round record has already computed, and the
+replies in id order: s_next, shape (n,), the unclamped next contributions,
+and grads, shape (n, m), the agents' accuracy gradients in w; a part the
+phase does not move is None.  LocalPool steps a set of agents in process,
+every agent by default, and reuses what it is given: the analytic step the
+derivatives and the gradients, the empirical step the gradients and the
 test losses the empirical family appends.  A remote agent runs an
-AgentWorker, the LocalPool of its one id, which evaluates its own row; the
-federation module's RemotePool collects the agents' replies into the same
-arrays over a transport and ignores rows.
+AgentWorker, the LocalPool of its one id, which is given neither and
+evaluates its own row and derivative; the federation module's RemotePool
+collects the agents' replies into the same arrays over a transport and
+ignores rows and derivatives.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from .core import (
     evaluate_profile,
     profile_state,
     strategy_derivatives,
-    strategy_gradient,
 )
 from .traceio import game_manifest, instance_digest
 
@@ -180,18 +183,13 @@ class LocalPool:
         self._last_quotient = [0.0] * len(self.ids)
 
     def _evaluate(self, w: np.ndarray, s: np.ndarray, own: list[float] | None = None):
-        """Oracle rows at profile s, or, given own, at s with each agent's
-        entry replaced by its own[r]."""
-        S = s[None, :]  # a single row at s can read s in place
-        if len(self._id_list) > 1 or own is not None:
-            S = S.repeat(len(self._id_list), axis=0)
+        """Oracle rows at profile s, one row every agent shares, or, given
+        own, at s with each agent's entry replaced by its own[r]."""
+        S = s[None, :]
         if own is not None:
+            S = S.repeat(len(self._id_list), axis=0)
             S[self._rows, self.ids] = own
         return self.game.accuracy.evaluate(self.ids, w, S)
-
-    def _analytic_step(self, s: np.ndarray, dsi: np.ndarray) -> np.ndarray:
-        d = strategy_derivatives(self.game, self.ids, s, dsi)
-        return _clamp(s[self.ids] + self.cfg.gamma * d, self._s_hi)
 
     def _empirical_step(
         self, w: np.ndarray, s: np.ndarray, rows: tuple
@@ -223,25 +221,35 @@ class LocalPool:
         return grads
 
     def step(
-        self, t: int, phase: str, w: np.ndarray, s: np.ndarray, rows: tuple | None = None
+        self,
+        t: int,
+        phase: str,
+        w: np.ndarray,
+        s: np.ndarray,
+        rows: tuple | None = None,
+        derivatives: np.ndarray | None = None,
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Phase "1" moves contributions, "2" returns gradients, "single"
         does both; the gradient is taken at the updated or the current
         profile as cfg.w_grad_at says.  rows, when given, are the set's
         oracle rows at (w, s) and stand in for evaluating them again, for
-        either updater; without them the step evaluates them itself."""
+        either updater; derivatives, given with rows, are the set's
+        strategy_derivatives at them and stand in for the analytic step's.
+        Without them the step computes its own."""
         if phase not in ("1", "2", "single"):
             raise ConfigError(f"unknown round phase {phase!r}")
         w = np.asarray(w, dtype=float)
         s = np.asarray(s, dtype=float)
         if rows is None:
-            rows = self._evaluate(w, s)
+            rows, derivatives = self._evaluate(w, s), None
         if phase == "single" and self.cfg.updater == "empirical":
             s_next, grads = self._empirical_step(w, s, rows)
             return s_next, self._checked(grads)
         s_next = grads = None
         if phase != "2":
-            s_next = self._analytic_step(s, rows[1])
+            if derivatives is None:
+                derivatives = strategy_derivatives(self.game, self.ids, s, rows[1])
+            s_next = _clamp(s[self.ids] + self.cfg.gamma * derivatives, self._s_hi)
         if phase != "1":
             if phase == "single" and self.cfg.w_grad_at == "updated":
                 rows = self._evaluate(w, s, s_next)
@@ -262,24 +270,40 @@ class AgentWorker(LocalPool):
         self.i = agent_id
 
 
-def _round_record(
-    g: GameInstance, t: int, phase: str, w: np.ndarray, s: np.ndarray, rows: tuple
-) -> RoundRecord:
-    """The record of (w, s), from rows = evaluate_profile(g, w, s)."""
-    costs, pays, utilities, welfare, gv, gt = profile_state(g, s, rows)
-    return RoundRecord(
-        t=t,
-        phase=phase,
-        s=np.array(s),
-        w=np.array(w),
-        accuracies=rows[0],
-        costs=costs,
-        payments=pays,
-        utilities=utilities,
-        welfare=welfare,
-        g_norm=float(np.linalg.norm(gv)),
-        gt_norm=float(np.linalg.norm(gt)),
-    )
+class _Round:
+    """One round's state (w, s) and what its handover, record and step
+    share: rows = evaluate_profile(g, w, s), computed at once, and the
+    agents' strategy derivatives at rows, computed once, on first use."""
+
+    def __init__(self, g: GameInstance, w: np.ndarray, s: np.ndarray) -> None:
+        self.g, self.w, self.s = g, w, s
+        self.rows = evaluate_profile(g, w, s)
+        self.gv: np.ndarray | None = None
+
+    def derivatives(self) -> np.ndarray:
+        if self.gv is None:
+            self.gv = strategy_derivatives(self.g, self.g.ids, self.s, self.rows[1])
+        return self.gv
+
+    def record(self, t: int, phase: str) -> RoundRecord:
+        """The record of (w, s).  Derivatives not yet taken are taken after
+        the utilities are checked, as profile_state orders them."""
+        costs, pays, utilities, welfare, self.gv, gt = profile_state(
+            self.g, self.s, self.rows, self.gv
+        )
+        return RoundRecord(
+            t=t,
+            phase=phase,
+            s=np.array(self.s),
+            w=np.array(self.w),
+            accuracies=self.rows[0],
+            costs=costs,
+            payments=pays,
+            utilities=utilities,
+            welfare=welfare,
+            g_norm=float(np.linalg.norm(self.gv)),
+            gt_norm=float(np.linalg.norm(gt)),
+        )
 
 
 def _init_state(
@@ -323,20 +347,23 @@ class Phase:
 
     label is the phase recorded in the trace; sent is the phase the agents
     are asked to compute, which also fixes what moves: the pool's
-    step(t, sent, w, s, rows) returns (s_next, grads), with s_next None
-    for "2" and grads None for "1", and "single" moves both.  s becomes
-    clamp_profile(s_next) and w moves by eta times the mean of the grads
-    rows, summed in id order.  Each round of the stage, in this order:
+    step(t, sent, w, s, rows, derivatives) returns (s_next, grads), with
+    s_next None for "2" and grads None for "1", and "single" moves both.
+    s becomes clamp_profile(s_next) and w moves by eta times the mean of
+    the grads rows, summed in id order.  The round's state is a _Round:
+    its rows and strategy derivatives are computed once and read by the
+    handover, the record and the step alike.  Each round of the stage, in
+    this order:
 
-    * handover(s, rows), when set, runs before the round is recorded; rows
-      are evaluate_profile at the round's state, which the record reuses.
-      A profile it returns ends the stage; the next stage starts from that
+    * handover(round), when set, runs before the round is recorded.  A
+      profile it returns ends the stage; the next stage starts from that
       profile at the same round t, so that round is recorded under the next
-      label.
+      label (reusing the round's rows and derivatives when the profile is
+      the round's own).
     * converged(record), when set, ends the stage as Converged.
     * Once cap updates are done the stage ends as MaxRounds, or, when
       lagging is set, the run fails with a cap error whose tail is
-      lagging(w, s), naming the agent that kept the stage going.
+      lagging(round), naming the agent that kept the stage going.
 
     The run's outcome is how its last stage ended.
     """
@@ -344,9 +371,9 @@ class Phase:
     label: str
     sent: str
     cap: int
-    handover: Callable[[np.ndarray, tuple], np.ndarray | None] | None = None
+    handover: Callable[[_Round], np.ndarray | None] | None = None
     converged: Callable[[RoundRecord], bool] | None = None
-    lagging: Callable[[np.ndarray, np.ndarray], str] | None = None
+    lagging: Callable[[_Round], str] | None = None
 
 
 _NON_FINITE = {
@@ -369,21 +396,21 @@ def _schedule(g: GameInstance, cfg: RunConfig, algorithm: str, s0: np.ndarray) -
         return [replace(training, label="single")]
 
     if algorithm == "2p-upbred":
-        def handover(s, rows):
+        def handover(rnd):
             # snap exactly onto the ceiling once within tolerance
-            return g.s_max if float(np.max(g.s_max - s)) <= cfg.eps_s else None
+            return g.s_max if float(np.max(g.s_max - rnd.s)) <= cfg.eps_s else None
 
-        def lagging(w, s):
-            gaps = g.s_max - s
+        def lagging(rnd):
+            gaps = g.s_max - rnd.s
             k = int(np.argmax(gaps))
             return f"agent {k} is not increasing (gap {gaps[k]:.6g})"
 
     else:  # fedavg-strategic: stop once no agent has a positive derivative
-        def handover(s, rows):
-            return s if strategy_derivatives(g, g.ids, s, rows[1]).max() <= eps else None
+        def handover(rnd):
+            return rnd.s if rnd.derivatives().max() <= eps else None
 
-        def lagging(w, s):
-            gv = strategy_gradient(g, w, s)
+        def lagging(rnd):
+            gv = rnd.derivatives()
             k = int(np.argmax(gv))
             return f"agent {k} still improving (derivative {gv[k]:.6g})"
 
@@ -403,21 +430,21 @@ def _run_phases(
     records: list[RoundRecord] = []
     outcome, err = "MaxRounds", None
     t = 0
-    rows = None  # evaluate_profile at the current (w, s), once per round
+    rnd = None  # the current (w, s) as a _Round, built once per round
     try:
         for ph in phases:
             outcome, updates = "MaxRounds", 0
             while True:
-                if rows is None:
-                    rows = evaluate_profile(g, w, s)
+                if rnd is None:
+                    rnd = _Round(g, w, s)
                 if ph.handover is not None:
-                    s_next = ph.handover(s, rows)
+                    s_next = ph.handover(rnd)
                     if s_next is not None:
                         if s_next is not s:
-                            rows = None
+                            rnd = None
                         s = s_next
                         break
-                rec = _round_record(g, t, ph.label, w, s, rows)
+                rec = rnd.record(t, ph.label)
                 records.append(rec)
                 if ph.converged is not None and ph.converged(rec):
                     outcome = "Converged"
@@ -427,16 +454,16 @@ def _run_phases(
                         break
                     raise NumericError(
                         f"contribution phase exceeded its cap of {ph.cap} rounds; "
-                        f"{ph.lagging(w, s)}"
+                        f"{ph.lagging(rnd)}"
                     )
-                s_next, grads = pool.step(t, ph.sent, w, s, rows)
+                s_next, grads = pool.step(t, ph.sent, w, s, rnd.rows, rnd.derivatives())
                 if ph.sent != "2":
                     s = clamp_profile(s_next, g)
                 if ph.sent != "1":
                     w = w + cfg.eta * (_left_sum(grads) / g.n)
                 if not (np.all(np.isfinite(w)) and np.all(np.isfinite(s))):
                     raise NumericError(_NON_FINITE[ph.sent])
-                rows = None
+                rnd = None
                 t += 1
                 updates += 1
     except (NumericError, ModelEvalError, FederationError) as exc:
@@ -531,8 +558,11 @@ def contraction_factor(
     W2 = sqrt(1 + eta^2 m^2 L_tilde^2 - 2 eta lam_tilde) + P * eta
     W  = max(W1, W2)
     """
-    a = 1.0 + gamma**2 * n**2 * L**2 - 2.0 * gamma * lam
-    b = 1.0 + eta**2 * m**2 * L_tilde**2 - 2.0 * eta * lam_tilde
+    try:
+        a = 1.0 + gamma**2 * n**2 * L**2 - 2.0 * gamma * lam
+        b = 1.0 + eta**2 * m**2 * L_tilde**2 - 2.0 * eta * lam_tilde
+    except OverflowError:
+        raise NumericError("contraction radicand overflows for these constants") from None
     if a < 0.0 or b < 0.0:
         raise NumericError("contraction radicand negative for these step sizes")
     w1 = sqrt(a) + P_tilde * gamma

@@ -358,10 +358,16 @@ class RemotePool:
         return s_next, d
 
     def step(
-        self, t: int, phase: str, w: np.ndarray, s: np.ndarray, rows: tuple | None = None
+        self,
+        t: int,
+        phase: str,
+        w: np.ndarray,
+        s: np.ndarray,
+        rows: tuple | None = None,
+        derivatives: np.ndarray | None = None,
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """One round over the transport.  rows are not used: the agents
-        evaluate their own."""
+        """One round over the transport.  rows and derivatives are not used:
+        the agents evaluate their own."""
         self._send_all("broadcast", {
             "run_id": self.run_id,
             "t": int(t),

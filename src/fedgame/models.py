@@ -30,13 +30,16 @@ class AccuracyModel(Protocol):
     three results belongs to agent idx[r] at model w and profile S[r] (an
     array of shape (len(idx), n)), and gives that agent's accuracy, the
     accuracy's slope in the agent's own contribution, and its gradient in w
-    (shape (len(idx), m)).  A family may append more columns; callers read
-    the first three.  The empirical family appends a fourth, losses: the
-    test loss whose r_i - loss is the accuracy, so that the difference-
-    quotient step need not run the test-set pass again (r_i - accuracy does
-    not always give back the loss's bits).  A row whose accuracy cannot be
-    evaluated raises ModelEvalError.  value, dsi and grad_w return what the
-    one-row case returns, bit for bit.
+    (shape (len(idx), m)).  S may also be a single row, shape (1, n), that
+    every idx shares, as when all agents are evaluated at one profile; the
+    results are then bit for bit those of that row repeated len(idx) times.
+    A family may append more columns; callers read the first three.  The
+    empirical family appends a fourth, losses: the test loss whose
+    r_i - loss is the accuracy, so that the difference-quotient step need
+    not run the test-set pass again (r_i - accuracy does not always give
+    back the loss's bits).  A row whose accuracy cannot be evaluated raises
+    ModelEvalError.  value, dsi and grad_w return what the one-row case
+    returns, bit for bit.
     """
 
     @property
@@ -92,22 +95,23 @@ class QuadraticAccuracy:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         S = np.asarray(S, dtype=float)
         w = np.asarray(w, dtype=float)
+        idx = np.asarray(idx, dtype=np.intp)
         sq = self._sq_dist(w)
         if S.shape[0] == 1:
-            # a remote agent's one row: scalar arithmetic skips the array
-            # set-up that would double the cost of its step
+            # one profile shared by every row: one denominator, one slope and
+            # one gradient row, whatever the number of agents
             d = self._denom(S)
             return (
-                np.array([float(self.r[idx[0]]) - sq / d]),
-                np.array([sq / d ** 2]),
-                (2.0 * (self.theta - w) / d)[None, :],
+                self.r[idx] - sq / d,
+                np.array([sq / d ** 2]).repeat(len(idx)),
+                (2.0 * (self.theta - w) / d)[None, :].repeat(len(idx), axis=0),
             )
         # row sums along the contiguous axis add in the same order as np.sum
         # of one profile, so every row matches its one-row evaluation
         denom = self.sigma0 + S.sum(axis=1)
         if (denom <= 0.0).any():
             raise ModelEvalError("singular denominator: sigma0 + sum(s) <= 0")
-        values = self.r[np.asarray(idx, dtype=np.intp)] - sq / denom
+        values = self.r[idx] - sq / denom
         # Python's d ** 2 (libm pow) is not always d * d; keep its bits
         dsi = np.array([sq / d ** 2 for d in denom.tolist()])
         grads = (2.0 * (self.theta - w)) / denom[:, None]

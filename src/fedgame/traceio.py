@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 from dataclasses import asdict, dataclass
 
@@ -56,23 +55,21 @@ def trace_columns(n: int, m: int) -> list[str]:
 
 
 def trace_csv_text(trace) -> str:
-    """Render a trace as CSV, one row per recorded round."""
+    """Render a trace as CSV, one row per recorded round.  No field needs
+    quoting: column names, phase labels and float reprs hold no comma,
+    quote or line break, so the fields are joined as they are."""
     if not trace.records:
         raise ConfigError("cannot serialize an empty trace")
     first = trace.records[0]
     n, m = len(first.s), len(first.w)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(trace_columns(n, m))
+    lines = [",".join(trace_columns(n, m))]
     for rec in trace.records:
-        row = [str(rec.t), rec.phase]
-        row += [fmt_float(v) for v in rec.s]
-        row += [fmt_float(v) for v in rec.w]
-        row += [fmt_float(v) for v in rec.utilities]
-        row += [fmt_float(v) for v in rec.payments]
-        row += [fmt_float(rec.welfare), fmt_float(rec.g_norm), fmt_float(rec.gt_norm)]
-        writer.writerow(row)
-    return buf.getvalue()
+        floats = [*rec.s.tolist(), *rec.w.tolist(), *rec.utilities.tolist(), *rec.payments.tolist()]
+        scalars = (rec.welfare, rec.g_norm, rec.gt_norm)
+        fields = [str(rec.t), rec.phase, *map(repr, floats), *map(fmt_float, scalars)]
+        lines.append(",".join(fields))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def write_trace_csv(trace, path) -> None:

@@ -125,6 +125,7 @@ class SeparableAccuracy:
         return -self.alpha * (np.asarray(w, dtype=float) - self.w_bar)
 
     def evaluate(self, idx, w, S):
+        S = np.broadcast_to(S, (len(idx), np.shape(S)[-1]))  # a shared row repeats
         rows = [(self.value(i, w, s), self.dsi(i, w, s), self.grad_w(i, w, s))
                 for i, s in zip(idx, S)]
         values, dsi, grads = zip(*rows)

@@ -1,11 +1,12 @@
 """The batched accuracy oracle and its three hot callers.
 
 evaluate, the pool step and the best-response scan each agree bit for bit
-with their per-agent forms; a round makes a fixed number of oracle calls,
-and the pool step reuses the round record's rows; a remote agent evaluates
-only its own row; the empirical step's gradients and test losses are
-evaluate rows, the record's when it is given them, else from its own one
-fused test-set pass.
+with their per-agent forms, and evaluate at one shared profile row with
+that row repeated; a round makes a fixed number of oracle calls and one
+strategy-derivative call, and the pool step reuses the round record's
+rows; a remote agent evaluates only its own row; the empirical step's
+gradients and test losses are evaluate rows, the record's when it is
+given them, else from its own one fused test-set pass.
 """
 
 import threading
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from fedgame import models
+from fedgame import core, dynamics, models
 from fedgame.analysis import GOLDEN_XTOL, _golden_max, _own_utility, _scan, best_response
 from fedgame.core import (
     VECTOR_ROWS,
@@ -26,6 +27,7 @@ from fedgame.core import (
     ModelEvalError,
     PaymentRule,
     evaluate_profile,
+    strategy_derivatives,
 )
 from fedgame.dynamics import AgentWorker, LocalPool, RunConfig, _clamp, run_dynamic
 from fedgame.federation import run_inprocess_federation
@@ -38,7 +40,7 @@ from fedgame.models import (
     synth_dataset,
 )
 
-from conftest import quadratic_game
+from conftest import SeparableAccuracy, quadratic_game
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -99,6 +101,48 @@ def test_quadratic_evaluate_matches_per_agent_methods(seed, n, k, sigma0):
     assert len(check_rows(acc, idx, rng.normal(size=m) * 3.0, S)) == 3
     # every row at one profile, as the round record asks
     check_rows(acc, np.arange(n), rng.normal(size=m), S[:1].repeat(n, axis=0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, family=st.sampled_from(["quadratic", "empirical", "separable"]),
+       n=st.one_of(st.integers(1, VECTOR_ROWS - 1), st.integers(VECTOR_ROWS, 80)),
+       k=st.integers(1, 12))
+def test_a_shared_profile_row_equals_that_row_repeated(seed, family, n, k):
+    """evaluate(idx, w, s[None, :]) is evaluate at s repeated once per idx,
+    byte for byte in every column, and so are the strategy derivatives
+    taken from it, in the loop form (n < VECTOR_ROWS) and the numpy form."""
+    rng = np.random.default_rng(seed)
+    if family == "quadratic":
+        sigma0 = float(rng.choice([0.0, 1e-6, 1.0]))
+        acc = random_quadratic(rng, n, int(rng.integers(1, 6)), sigma0)
+    elif family == "empirical":
+        acc = random_empirical(rng, n)
+    else:
+        acc = SeparableAccuracy(k=rng.uniform(0.2, 1.5, n), q=float(rng.uniform(0.5, 2.0)),
+                                alpha=1.0, w_bar=rng.normal(size=int(rng.integers(1, 4))))
+    s_max = rng.uniform(0.5, 40.0, size=n)
+    # contributions at the floor, at the ceiling and inside the box, with a
+    # positive total so that sigma0 = 0 stays regular
+    s = np.where(rng.random(n) < 0.3, 0.0, spread(rng, n) % s_max)
+    s = np.where(rng.random(n) < 0.2, s_max, s)
+    j = int(rng.integers(0, n))
+    s[j] = s_max[j] / 2.0
+    w = rng.normal(size=acc.dim) * 2.0
+    idx = rng.integers(0, n, size=k)  # ids may repeat
+    shared = acc.evaluate(idx, w, s[None, :])
+    repeated = acc.evaluate(idx, w, s[None, :].repeat(k, axis=0))
+    assert len(shared) == len(repeated)
+    assert all(same(a, b) for a, b in zip(shared, repeated))
+
+    agents = tuple(AgentSpec(id=i, s_max=float(s_max[i])) for i in range(n))
+    payment = PaymentRule.linear(float(rng.uniform(0.0, 0.3))) if n >= 2 else PaymentRule.none()
+    game = GameInstance(agents, acc, CostModel.linear(rng.uniform(0.0, 0.2, size=n)),
+                        payment, acc.dim)
+    rows = evaluate_profile(game, w, s)
+    full = acc.evaluate(game.ids, w, s[None, :].repeat(n, axis=0))
+    assert all(same(a, b) for a, b in zip(rows, full))
+    assert same(strategy_derivatives(game, game.ids, s, rows[1]),
+                strategy_derivatives(game, game.ids, s, full[1]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -465,6 +509,31 @@ def test_oracle_calls_per_round_do_not_grow_with_n(
         stepped = sorted({rec.t for rec in trace.records} - {trace.final.t})
         step_calls = Counter(t for _, t in oracle_calls if t is not None)
         assert sorted(step_calls.elements()) == stepped * (per_round - 1)
+
+
+@pytest.mark.parametrize("algorithm", ["upbred", "2p-upbred", "fedavg-strategic", "fedavg"])
+def test_one_strategy_derivative_per_recorded_round(monkeypatch, algorithm):
+    """The handover, the record and the pool step share one
+    strategy_derivatives call per round, in both of its forms."""
+    calls = []
+    original = core.strategy_derivatives
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return original(*args)
+
+    monkeypatch.setattr(core, "strategy_derivatives", counted)
+    monkeypatch.setattr(dynamics, "strategy_derivatives", counted)
+    for n in (5, 50):
+        g = quadratic_game(
+            n=n, m=3, theta=(0.8, -0.4, 0.3), sigma0=1.0, s_max=2.0,
+            cost_coeffs=np.linspace(0.02, 0.1, n), payment=PaymentRule.linear(0.12),
+        )
+        cfg = RunConfig(gamma=0.5, eta=0.5, rounds=10, eps=1e-14)
+        calls.clear()
+        trace = run_dynamic(g, cfg, algorithm, s0=np.full(n, 0.5))
+        assert trace.outcome == "MaxRounds" and len(trace.records) > 10
+        assert calls == [n] * len(trace.records)
 
 
 # ---------------------------------------------------------------------------

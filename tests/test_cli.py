@@ -231,6 +231,24 @@ def test_bounds_rejects_bad_w_radius(radius, capsys):
     assert capsys.readouterr().err == "error: w_radius must be finite and >= 0\n"
 
 
+def test_bounds_rejects_w_radius_beyond_finite_accuracy(capsys):
+    # |w|^2 overflows at the sampled points: a flag value, not a game failure
+    code = run_cli("bounds", "--config", "quad5", "--samples", "2", "--w-radius", "1e200")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: --w-radius 1e+200 reaches parameters where the accuracy is not finite\n"
+    )
+
+
+def test_bounds_notes_a_contraction_factor_that_overflows(capsys):
+    # finite accuracy, but curvature so large that L**2 overflows
+    code = run_cli("bounds", "--config", "quad5", "--samples", "2", "--w-radius", "1e100")
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert doc["W"] is None and doc["T0"] is None
+    assert doc["W_note"] == "contraction radicand overflows for these constants"
+
+
 def test_diagnose_reports_ratios_and_final_table(tmp_path, capsys):
     assert run_cli("run", "--config", "example1-2p", "--out", str(tmp_path)) == 0
     trace = str(tmp_path / "example1-2p.csv")
