@@ -32,7 +32,6 @@ from .config import (
     build_scenario,
     parse_scenario,
     render_scenario,
-    with_overrides,
 )
 from .core import (
     AgentSpec,

@@ -32,6 +32,8 @@ GOLDEN_XTOL = 1e-8
 NSD_TOL = 1e-9
 # assumption_samples keeps contributions this fraction of s_max off each edge
 INTERIOR_MARGIN = 0.05
+# estimate_matrices steps each coordinate v by FD_STEP * max(1, |v|)
+FD_STEP = 1e-4
 # compute_w_opt stops once the welfare gradient norm falls below this
 W_OPT_TOL = 1e-6
 W_OPT_MAX_ITERS = 10000
@@ -252,7 +254,7 @@ def estimate_matrices(g: GameInstance, w: np.ndarray, s: np.ndarray) -> Matrices
     n, m = g.n, g.m
     # one stencil over the joint point x = (w, s): w_k is x[k], s_i is x[m + i]
     x = np.concatenate([w, s])
-    h = np.array([1e-4 * max(1.0, abs(v)) for v in x.tolist()])
+    h = np.array([FD_STEP * max(1.0, abs(v)) for v in x.tolist()])
     h[m:] = np.minimum(h[m:], np.minimum(s, g.s_max - s) / 2.0)
     if np.any(h[m:] <= 0.0):
         raise ConfigError("profile too close to the boundary for two-sided differences")
@@ -538,16 +540,12 @@ class ContractionReport:
 DENOM_FLOOR = 1e-14
 
 
-def contraction_diagnostic(trace) -> ContractionReport:
-    """Empirical per-round contraction of |g| + |g_tilde| along a trace.
-
-    Accepts a Trace or any iterable of (g_norm, gt_norm, t) triples; rounds
-    whose denominator falls below 1e-14 are skipped to avoid noise blowups.
+def contraction_diagnostic(norms) -> ContractionReport:
+    """Empirical per-round contraction of |g| + |g_tilde| along a trace,
+    given as an iterable of (g_norm, gt_norm, t) triples; rounds whose
+    denominator falls below 1e-14 are skipped to avoid noise blowups.
     """
-    if hasattr(trace, "records"):
-        seq = [(rec.g_norm, rec.gt_norm, rec.t) for rec in trace.records]
-    else:
-        seq = [(float(a), float(b), int(t)) for a, b, t in trace]
+    seq = [(float(a), float(b), int(t)) for a, b, t in norms]
     if len(seq) < 2:
         raise ConfigError("contraction diagnostic needs at least two recorded rounds")
     combined = [a + b for a, b, _ in seq]

@@ -306,10 +306,20 @@ def cmd_bounds(args) -> int:
         samples = analysis.assumption_samples(g, count=args.samples, w_radius=args.w_radius)
         with np.errstate(over="ignore", invalid="ignore"):
             finite = all(np.isfinite(evaluate_profile(g, w, s)[0]).all() for w, s in samples)
+            # a central second difference doubles a sum of n accuracies, at
+            # points up to one step (relative, at |w_k| >= 1) further out in w
+            reach = 1.0 + analysis.FD_STEP
+            stencil = all(np.isfinite(2.0 * g.n * evaluate_profile(g, reach * w, s)[0]).all()
+                          for w, s in samples)
         if not finite:
             raise ConfigError(
                 f"--w-radius {args.w_radius!r} reaches parameters where the accuracy "
                 "is not finite"
+            )
+        if not stencil:
+            raise ConfigError(
+                f"--w-radius {args.w_radius!r} reaches parameters where central "
+                "differences of the accuracy overflow"
             )
         est = analysis.check_assumption1(samples, g)
         consts = {name: getattr(est, name) for name in CONSTANTS}

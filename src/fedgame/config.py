@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from math import ceil, isfinite
 
 import numpy as np
@@ -387,8 +387,3 @@ def build_scenario(cfg: ScenarioConfig) -> BuiltScenario:
     game = GameInstance(agents=agents, accuracy=accuracy, cost=cost, payment=payment, m=cfg.m)
     run = RunConfig(**{f.name: getattr(cfg, f.name) for f in fields(RunConfig)})
     return BuiltScenario(game=game, run=run, algorithm=cfg.algorithm, w0=w0, s0=s0, cfg=cfg)
-
-
-def with_overrides(cfg: ScenarioConfig, **kw) -> ScenarioConfig:
-    """Typed replace() that re-validates through the text round trip."""
-    return parse_scenario(render_scenario(replace(cfg, **kw)))

@@ -145,10 +145,6 @@ class UtilityReport:
     payment: float
     utility: float
 
-    @classmethod
-    def build(cls, accuracy: float, cost: float, payment: float) -> "UtilityReport":
-        return cls(accuracy, cost, payment, accuracy - cost + payment)
-
 
 def _as_profile(s: np.ndarray | list | tuple) -> np.ndarray:
     arr = np.asarray(s, dtype=float)
@@ -198,7 +194,7 @@ def utility(g: GameInstance, i: int, w: np.ndarray, s: np.ndarray) -> UtilityRep
     acc = g.accuracy.value(i, w, s)
     cost = g.cost.value(i, float(s[i]))
     pay = payment(g.payment, s, i)
-    rep = UtilityReport.build(acc, cost, pay)
+    rep = UtilityReport(acc, cost, pay, acc - cost + pay)
     if not isfinite(rep.utility):
         raise NumericError(f"non-finite utility for agent {i}")
     return rep
@@ -299,33 +295,6 @@ def _mean_gradient(g: GameInstance, grads: np.ndarray) -> np.ndarray:
 def welfare_gradient(g: GameInstance, w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Mean over agents of the accuracy gradient in w."""
     return _mean_gradient(g, evaluate_profile(g, w, s)[2])
-
-
-def profile_state(
-    g: GameInstance,
-    s: np.ndarray,
-    rows: tuple[np.ndarray, ...],
-    gv: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
-    """(costs, payments, utilities, welfare, strategy gradient, welfare
-    gradient) at profile s from rows = evaluate_profile(g, w, s).  Entry i
-    of the first three is agent i's part of utility(g, i, w, s), and
-    utilities = values - costs + payments adds in the order it does; the
-    rest equal what social_welfare, strategy_gradient and welfare_gradient
-    return.  gv, when given, is that strategy gradient, already computed
-    from rows, and is returned as it is; otherwise it is computed after the
-    utilities are checked."""
-    s = _as_profile(s)
-    values, dsi, grads = rows[:3]
-    costs = g.cost.values(g.ids, s)
-    pays = payment_vector(g.payment, s)
-    utilities = values - costs + pays
-    bad = ~np.isfinite(utilities)
-    if bad.any():
-        raise NumericError(f"non-finite utility for agent {int(np.argmax(bad))}")
-    if gv is None:
-        gv = strategy_derivatives(g, g.ids, s, dsi)
-    return costs, pays, utilities, float(_left_sum(values)), gv, _mean_gradient(g, grads)
 
 
 def clamp_profile(s_raw: np.ndarray, g: GameInstance) -> np.ndarray:

@@ -24,16 +24,17 @@ step all read.  A pool object hides where agents live.  Its contract is
 
 with rows = evaluate_profile(g, w, s) and derivatives = strategy_derivatives
 at rows, both of which the round record has already computed, and the
-replies in id order: s_next, shape (n,), the unclamped next contributions,
-and grads, shape (n, m), the agents' accuracy gradients in w; a part the
-phase does not move is None.  LocalPool steps a set of agents in process,
-every agent by default, and reuses what it is given: the analytic step the
-derivatives and the gradients, the empirical step the gradients and the
-test losses the empirical family appends.  A remote agent runs an
-AgentWorker, the LocalPool of its one id, which is given neither and
-evaluates its own row and derivative; the federation module's RemotePool
-collects the agents' replies into the same arrays over a transport and
-ignores rows and derivatives.
+replies in id order: s_next, shape (n,), the next contributions, and grads,
+shape (n, m), the agents' accuracy gradients in w; a part the phase does
+not move is None.  LocalPool steps a set of agents in process, every agent
+by default, and reuses what it is given: the analytic step the derivatives
+and the gradients, the empirical step the gradients and the test losses the
+empirical family appends; it clamps s_next to [0, s_max] and takes an
+updated-profile gradient there.  A remote agent runs an AgentWorker, the
+LocalPool of its one id, which is given neither and evaluates its own row
+and derivative; the federation module's RemotePool passes on the agents'
+replies as reported, in the same arrays, and ignores rows and derivatives.
+The round loop clamps s_next either way.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ from .core import (
     PaymentRule,
     UtilityReport,
     _left_sum,
+    _mean_gradient,
     clamp_profile,
     evaluate_profile,
-    profile_state,
+    payment_vector,
     strategy_derivatives,
 )
 from .traceio import game_manifest, instance_digest
@@ -256,9 +258,6 @@ class LocalPool:
             grads = self._checked(rows[2])
         return s_next, grads
 
-    def close(self, ok: bool = True) -> None:
-        pass
-
 
 class AgentWorker(LocalPool):
     """The pool of one agent, as a remote agent runs it."""
@@ -286,23 +285,29 @@ class _Round:
         return self.gv
 
     def record(self, t: int, phase: str) -> RoundRecord:
-        """The record of (w, s).  Derivatives not yet taken are taken after
-        the utilities are checked, as profile_state orders them."""
-        costs, pays, utilities, welfare, self.gv, gt = profile_state(
-            self.g, self.s, self.rows, self.gv
-        )
+        """The record of (w, s).  utilities adds each agent's parts as
+        utility() does; a non-finite one fails before derivatives are taken."""
+        g, s = self.g, self.s
+        values, _, grads = self.rows[:3]
+        costs = g.cost.values(g.ids, s)
+        pays = payment_vector(g.payment, s)
+        utilities = values - costs + pays
+        bad = ~np.isfinite(utilities)
+        if bad.any():
+            raise NumericError(f"non-finite utility for agent {int(np.argmax(bad))}")
+        gv = self.derivatives()
         return RoundRecord(
             t=t,
             phase=phase,
-            s=np.array(self.s),
+            s=np.array(s),
             w=np.array(self.w),
-            accuracies=self.rows[0],
+            accuracies=values,
             costs=costs,
             payments=pays,
             utilities=utilities,
-            welfare=welfare,
-            g_norm=float(np.linalg.norm(self.gv)),
-            gt_norm=float(np.linalg.norm(gt)),
+            welfare=float(_left_sum(values)),
+            g_norm=float(np.linalg.norm(gv)),
+            gt_norm=float(np.linalg.norm(_mean_gradient(g, grads))),
         )
 
 

@@ -236,7 +236,6 @@ class RemotePool:
         if len(channels) != game.n:
             raise ConfigError(f"need exactly {game.n} agent channels, got {len(channels)}")
         self.game = game
-        self.cfg = cfg
         self.run_id = derive_run_id(game, cfg, algorithm)
         self.digest = instance_digest(game)
         self._channels = list(channels)
@@ -444,7 +443,6 @@ def serve_center(
     w0: np.ndarray | None = None,
     s0: np.ndarray | None = None,
     timeout: float = DEFAULT_TIMEOUT,
-    strict: bool = True,
 ):
     """Run the selected dynamic with remote agents; returns the Trace.
 
@@ -454,7 +452,7 @@ def serve_center(
     pool = RemotePool(g, cfg, algorithm, channels, timeout)
     try:
         pool.handshake()
-        trace = run_dynamic(g, cfg, algorithm, w0=w0, s0=s0, pool=pool, strict=strict)
+        trace = run_dynamic(g, cfg, algorithm, w0=w0, s0=s0, pool=pool)
     except BaseException:
         pool.close(ok=False)
         raise
@@ -464,6 +462,17 @@ def serve_center(
 
 # ---------------------------------------------------------------------------
 # Agent side.
+
+
+class _AgentExit(Exception):
+    """Ends run_agent with status 1: note is the reason passed to notify,
+    and tell, when set, the message of the error frame the agent first
+    sends the center, best effort."""
+
+    def __init__(self, note: str, tell: str | None = None) -> None:
+        super().__init__(note)
+        self.note = note
+        self.tell = tell
 
 
 def run_agent(
@@ -481,112 +490,85 @@ def run_agent(
     center in an error frame.  notify, if given, is called with a one-line
     reason on every failure path."""
     check_timeout(timeout)
-    note = notify if notify is not None else lambda msg: None
     worker = AgentWorker(g, agent_id, cfg)
 
-    def receive() -> bytes | None:
+    def receive(closed: str) -> bytes:  # closed: the note for EOF
         try:
-            return channel.recv_line(timeout)
+            line = channel.recv_line(timeout)
         except FederationError as exc:
-            _best_effort(channel, "error", {"message": f"agent {agent_id}: {exc}"})
-            note(f"waiting for the center: {exc}")
-            return None
+            raise _AgentExit(f"waiting for the center: {exc}", f"agent {agent_id}: {exc}") from None
+        if line == b"":
+            raise _AgentExit(closed)
+        return line
 
-    def send(ftype: str, payload: dict) -> bool:
+    def send(ftype: str, payload: dict) -> None:
         try:
             send_frame(channel, ftype, payload)
         except FederationError as exc:
-            note(f"sending {ftype} to the center: {exc}")
-            return False
-        return True
+            raise _AgentExit(f"sending {ftype} to the center: {exc}") from None
 
-    hello = {
-        "protocol_version": PROTOCOL_VERSION,
-        "agent_id": agent_id,
-        "digest": instance_digest(g),
-    }
-    if not send("hello", hello):
-        return 1
-    line = receive()
-    if line is None:
-        return 1
-    if line == b"":
-        note("connection closed during handshake")
-        return 1
     try:
-        ftype, payload = decode_frame(line)
-    except DecodeError:
-        _best_effort(channel, "error", {"message": "malformed handshake"})
-        note("malformed handshake from center")
-        return 1
-    if ftype == "error":
-        note(f"center rejected hello: {payload.get('message', '')}")
-        return 1
-    if ftype == "bye":
-        note("center shut down before the run started")
-        return 1
-    if ftype != "hello":
-        _best_effort(channel, "error", {"message": "expected hello acceptance"})
-        note(f"expected hello acceptance, got {ftype}")
-        return 1
-    run_id = payload.get("run_id")
-    last_t: int | None = None
-    while True:
-        line = receive()
-        if line is None:
-            return 1
-        if line == b"":
-            note("connection closed by center")
-            return 1
+        send("hello", {
+            "protocol_version": PROTOCOL_VERSION,
+            "agent_id": agent_id,
+            "digest": instance_digest(g),
+        })
+        line = receive("connection closed during handshake")
         try:
             ftype, payload = decode_frame(line)
-        except DecodeError as exc:
-            _best_effort(channel, "error", {"message": f"malformed broadcast: {exc}"})
-            note(f"malformed broadcast: {exc}")
-            return 1
-        if ftype == "bye":
-            if payload.get("reason") == "aborted":
-                note("center aborted the run")
-                return 1
-            return 0
+        except DecodeError:
+            raise _AgentExit("malformed handshake from center", "malformed handshake") from None
         if ftype == "error":
-            note(f"center reported an error: {payload.get('message', '')}")
-            return 1
-        if ftype != "broadcast":
-            _best_effort(channel, "error", {"message": f"unexpected frame {ftype}"})
-            note(f"unexpected frame {ftype}")
-            return 1
-        t = payload.get("t")
-        phase = payload.get("phase")
-        w = _finite_list(payload.get("w"), g.m)
-        s = _finite_list(payload.get("s"), g.n)
-        if payload.get("run_id") != run_id:
-            _best_effort(channel, "error", {"message": "broadcast run_id mismatch"})
-            note("broadcast run_id mismatch")
-            return 1
-        if not isinstance(t, int) or (last_t is not None and t <= last_t):
-            _best_effort(channel, "error", {"message": "out-of-order broadcast"})
-            note("out-of-order broadcast")
-            return 1
-        if phase not in ("1", "2", "single") or w is None or s is None:
-            _best_effort(channel, "error", {"message": "malformed broadcast fields"})
-            note("malformed broadcast fields")
-            return 1
-        try:
-            s_next, grads = worker.step(t, phase, np.array(w), np.array(s))
-        except GameError as exc:
-            message = f"agent {agent_id} failed at round {t}: {exc}"
-            _best_effort(channel, "error", {"message": message})
-            note(message)
-            return 1
-        report = {"run_id": run_id, "t": t, "agent_id": agent_id}
-        if s_next is not None:
-            report["s_next"] = float(s_next[0])
-        if grads is not None:
-            report["d"] = grads[0].tolist()
-        if not send("report", report):
-            return 1
-        last_t = t
+            raise _AgentExit(f"center rejected hello: {payload.get('message', '')}")
+        if ftype == "bye":
+            raise _AgentExit("center shut down before the run started")
+        if ftype != "hello":
+            raise _AgentExit(f"expected hello acceptance, got {ftype}", "expected hello acceptance")
+        run_id = payload.get("run_id")
+        last_t: int | None = None
+        while True:
+            line = receive("connection closed by center")
+            try:
+                ftype, payload = decode_frame(line)
+            except DecodeError as exc:
+                message = f"malformed broadcast: {exc}"
+                raise _AgentExit(message, message) from None
+            if ftype == "bye":
+                if payload.get("reason") == "aborted":
+                    raise _AgentExit("center aborted the run")
+                return 0
+            if ftype == "error":
+                raise _AgentExit(f"center reported an error: {payload.get('message', '')}")
+            if ftype != "broadcast":
+                raise _AgentExit(f"unexpected frame {ftype}", f"unexpected frame {ftype}")
+            t = payload.get("t")
+            phase = payload.get("phase")
+            w = _finite_list(payload.get("w"), g.m)
+            s = _finite_list(payload.get("s"), g.n)
+            if payload.get("run_id") != run_id:
+                raise _AgentExit("broadcast run_id mismatch", "broadcast run_id mismatch")
+            if not isinstance(t, int) or (last_t is not None and t <= last_t):
+                raise _AgentExit("out-of-order broadcast", "out-of-order broadcast")
+            if phase not in ("1", "2", "single") or w is None or s is None:
+                raise _AgentExit("malformed broadcast fields", "malformed broadcast fields")
+            try:
+                s_next, grads = worker.step(t, phase, np.array(w), np.array(s))
+            except GameError as exc:
+                message = f"agent {agent_id} failed at round {t}: {exc}"
+                raise _AgentExit(message, message) from None
+            report = {"run_id": run_id, "t": t, "agent_id": agent_id}
+            if s_next is not None:
+                report["s_next"] = float(s_next[0])
+            if grads is not None:
+                report["d"] = grads[0].tolist()
+            send("report", report)
+            last_t = t
+    except _AgentExit as exc:
+        if exc.tell is not None:
+            _best_effort(channel, "error", {"message": exc.tell})
+        if notify is not None:
+            notify(exc.note)
+        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +588,6 @@ def run_inprocess_federation(
     w0: np.ndarray | None = None,
     s0: np.ndarray | None = None,
     timeout: float = DEFAULT_TIMEOUT,
-    strict: bool = True,
 ) -> InProcessRun:
     """Full protocol run with every agent on its own thread, each joined to
     the center by a socketpair; every end is closed on return."""
@@ -624,7 +605,7 @@ def run_inprocess_federation(
     for th in threads:
         th.start()
     try:
-        trace = serve_center(g, cfg, algorithm, center_ends, w0, s0, timeout, strict)
+        trace = serve_center(g, cfg, algorithm, center_ends, w0, s0, timeout)
     finally:
         for th in threads:
             th.join(timeout=10.0)
@@ -640,17 +621,18 @@ def open_listener(host: str, port: int) -> socket.socket:
 
 
 def accept_agents(listener: socket.socket, count: int, timeout: float = DEFAULT_TIMEOUT):
-    """Accept exactly `count` connections before the per-round protocol starts."""
+    """Accept exactly `count` connections, each waiting at most the time left."""
     channels = []
     deadline = time.monotonic() + check_timeout(timeout)
-    listener.settimeout(1.0)
     while len(channels) < count:
-        if time.monotonic() > deadline:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0.0:
             for ch in channels:
                 ch.close()
             raise FederationError(
                 f"timeout: only {len(channels)} of {count} agents connected"
             )
+        listener.settimeout(remaining)
         try:
             sock, _addr = listener.accept()
         except socket.timeout:

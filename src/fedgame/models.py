@@ -14,7 +14,7 @@ so every result is bit for bit that of the row-major layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log
+from math import ceil
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -427,11 +427,6 @@ class EmpiricalAccuracy:
             raise ConfigError("r must have one entry per agent")
         if self.n_classes < 2:
             raise ConfigError("need at least two classes")
-
-    @classmethod
-    def default_offset(cls, n_classes: int) -> float:
-        """Offset that zeroes the accuracy of uniform logits: ln(classes)."""
-        return log(n_classes)
 
     @property
     def n_agents(self) -> int:

@@ -238,6 +238,15 @@ def test_bounds_rejects_w_radius_beyond_finite_accuracy(capsys):
     assert capsys.readouterr().err == (
         "error: --w-radius 1e+200 reaches parameters where the accuracy is not finite\n"
     )
+    # the accuracy is finite at every sample, but the difference stencils'
+    # sums of it are not
+    for radius in ("3e153", "5e153", "7e153"):
+        code = run_cli("bounds", "--config", "quad5", "--samples", "4", "--w-radius", radius)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: --w-radius {float(radius)!r} reaches parameters where central "
+            "differences of the accuracy overflow\n"
+        )
 
 
 def test_bounds_notes_a_contraction_factor_that_overflows(capsys):

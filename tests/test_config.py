@@ -12,7 +12,6 @@ from fedgame.config import (
     build_scenario,
     parse_scenario,
     render_scenario,
-    with_overrides,
 )
 from fedgame.core import ConfigError
 from fedgame.dynamics import RunConfig
@@ -238,14 +237,6 @@ def test_build_empirical_uses_run_seed_for_data_by_default():
 def test_build_empirical_train_sizes_cover_s_max():
     built = build_scenario(parse_scenario(EMPIRICAL))
     assert all(ds.size == 20 for ds in built.game.accuracy.train_sets)
-
-
-def test_with_overrides_revalidates():
-    cfg = parse_scenario(MINIMAL_QUADRATIC)
-    bumped = with_overrides(cfg, rounds=7)
-    assert bumped.rounds == 7
-    with pytest.raises(ConfigError):
-        with_overrides(cfg, beta=1.0)  # payment is still none
 
 
 @settings(max_examples=40, deadline=None)

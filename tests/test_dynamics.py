@@ -260,7 +260,7 @@ def toy_empirical_game(beta=0.01):
     acc = EmpiricalAccuracy(
         train_sets=train,
         test_sets=test,
-        r=np.full(2, EmpiricalAccuracy.default_offset(2)),
+        r=np.full(2, np.log(2)),
         n_classes=2,
         data_seed=5,
     )

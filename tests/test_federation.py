@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedgame import federation
-from fedgame.core import ConfigError, FederationError
+from fedgame.core import AgentSpec, ConfigError, FederationError, GameInstance, PaymentRule
 from fedgame.dynamics import RunConfig, run_dynamic
 from fedgame.federation import (
     DecodeError,
@@ -31,6 +31,7 @@ from fedgame.federation import (
     send_frame,
     serve_center,
 )
+from fedgame.models import CostModel, QuadraticAccuracy
 from fedgame.traceio import instance_digest, trace_csv_text
 
 
@@ -722,6 +723,11 @@ def test_accept_agents_times_out():
     try:
         with pytest.raises(FederationError, match="only 0 of 1"):
             accept_agents(listener, 1, timeout=0.3)
+        # the wait is the time left, not a whole polling tick
+        start = time.monotonic()
+        with pytest.raises(FederationError, match="only 0 of 1"):
+            accept_agents(listener, 1, timeout=0.05)
+        assert time.monotonic() - start < 0.5
     finally:
         listener.close()
 
@@ -862,3 +868,48 @@ def test_tcp_agent_gives_up_when_center_stalls_after_hello(example_game):
         channel.close()
     finally:
         listener.close()
+
+
+SEND_TIMEOUT = 0.5
+
+
+@pytest.mark.xfail(strict=True, reason="RemotePool sends with sendall, which no timeout bounds")
+def test_broadcast_to_an_agent_that_stops_reading_ends_within_the_timeout():
+    center_sock, agent_sock = socket.socketpair()
+    buffered = (
+        center_sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+        + agent_sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+    )
+    center, agent = federation.SocketChannel(center_sock), federation.SocketChannel(agent_sock)
+    # each entry of w encodes as 18 or more bytes: the broadcast overfills both buffers
+    m = buffered // 4
+    g = GameInstance(
+        agents=(AgentSpec(id=0, s_max=1.0, initial_s=0.5),),
+        accuracy=QuadraticAccuracy(theta=np.zeros(m), r=np.ones(1), sigma0=1.0),
+        cost=CostModel.linear([0.01]),
+        payment=PaymentRule.none(),
+        m=m,
+    )
+    pool = RemotePool(g, cfg_for(), "upbred", [center], timeout=SEND_TIMEOUT)
+    raised = []
+
+    def step():
+        try:
+            pool.step(0, "single", np.full(m, 1.0 / 3.0), np.array([0.5]))
+        except FederationError as exc:
+            raised.append(exc)
+
+    th = threading.Thread(target=step, daemon=True)
+    try:
+        send_frame(agent, "hello", hello_payload(g, 0))
+        pool.handshake()
+        th.start()  # the agent never reads again
+        th.join(SEND_TIMEOUT + STALL_SLACK)
+        finished = not th.is_alive()
+    finally:
+        agent.close()  # a send still blocked fails now, and the step ends
+        if th.is_alive():
+            th.join(5.0)
+        pool.close(ok=False)
+    assert finished, "the broadcast is still blocked in its send"
+    assert raised

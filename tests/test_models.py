@@ -160,7 +160,7 @@ def test_cross_entropy_grad_matches_fd():
 
 def _toy_empirical(n=2, seed=1):
     train, test = synth_dataset(seed, n, 20, 15, 2, 2)
-    r = np.full(n, EmpiricalAccuracy.default_offset(2))
+    r = np.full(n, np.log(2))
     return EmpiricalAccuracy(train_sets=train, test_sets=test, r=r, n_classes=2, data_seed=seed)
 
 
