@@ -260,7 +260,7 @@ def strategy_derivatives(
     if len(idx) >= VECTOR_ROWS and g.cost.kind == "linear":
         x = np.asarray(s, dtype=float)[idx]
         d = np.asarray(dsi, dtype=float) - g.cost.slopes[idx] + beta
-        if np.isfinite(d).all() and not (x < -1e-12).any():
+        if np.isfinite(d).all() and not (x < -BOUND_TOL).any():
             out_lo = (d < 0.0) & (np.abs(x) <= BOUND_TOL)
             out_hi = (d > 0.0) & (np.abs(x - g.s_max[idx]) <= BOUND_TOL)
             return np.where(out_lo | out_hi, 0.0, d)

@@ -219,8 +219,11 @@ def derive_run_id(g: GameInstance, cfg: RunConfig, algorithm: str) -> str:
 class RemotePool:
     """Drop-in replacement for dynamics.LocalPool backed by agent channels.
 
-    One reader thread per channel feeds a single queue; step() implements the
-    round barrier by waiting until every agent's report for round t arrived,
+    One reader thread per channel feeds a single queue.  Every wait on it
+    goes through _next, which owns every exit of the center: the deadline,
+    a channel that closes or fails, and an error frame from the peer.
+    handshake() accepts one hello per channel; step() broadcasts (w, s),
+    holds the round barrier until every agent's report for round t arrived,
     and returns the reports as the pool contract's (s_next, grads) arrays.
     """
 
@@ -239,122 +242,97 @@ class RemotePool:
         self.run_id = derive_run_id(game, cfg, algorithm)
         self.digest = instance_digest(game)
         self._channels = list(channels)
-        self._by_agent: dict[int, object] = {}
+        self._agent: dict[int, int] = {}  # channel index -> agent id, set by its hello
         self._queue: queue.Queue = queue.Queue()
         self._threads: list[threading.Thread] = []
         self._done = False
 
-    # reader threads tag frames with the channel index; agent identity is
-    # established by the hello handshake.
     def _reader(self, idx: int, channel) -> None:
-        while True:
-            try:
+        """Queue (idx, frame) for each frame, then (idx, None) at end of
+        stream or (idx, exc) when the channel fails or a frame does not
+        decode."""
+        try:
+            line = channel.recv_line()
+            while line:
+                self._queue.put((idx, decode_frame(line)))
                 line = channel.recv_line()
-            except FederationError as exc:
-                self._queue.put((idx, "fail", str(exc)))
-                return
-            if line == b"":
-                self._queue.put((idx, "closed", ""))
-                return
-            try:
-                frame = decode_frame(line)
-            except DecodeError as exc:
-                self._queue.put((idx, "fail", str(exc)))
-                return
-            self._queue.put((idx, "frame", frame))
+            self._queue.put((idx, None))
+        except FederationError as exc:
+            self._queue.put((idx, exc))
 
-    def _get(self, deadline: float):
+    def _next(self, deadline: float, late) -> tuple[int, str, dict]:
+        """Next (idx, ftype, payload) from any channel.  Raises late() once
+        deadline has passed, queued frames or not, and names the peer when
+        its channel closes or fails or it sends an error frame."""
         remaining = deadline - time.monotonic()
-        if remaining <= 0.0:
-            raise queue.Empty
-        return self._queue.get(timeout=remaining)
+        try:
+            if remaining <= 0.0:
+                raise queue.Empty
+            idx, item = self._queue.get(timeout=remaining)
+        except queue.Empty:
+            raise late() from None
+        if isinstance(item, tuple) and item[0] != "error":
+            return idx, item[0], item[1]
+        aid = self._agent.get(idx)
+        who = f"connection {idx}" if aid is None else f"agent {aid}"
+        if item is None:
+            raise FederationError(f"{who} disconnected")
+        if isinstance(item, FederationError):
+            raise FederationError(f"{who} channel failed: {item}")
+        raise FederationError(f"{who} reported an error: {item[1].get('message')}")
+
+    def _refuse(self, idx: int, tell: str, error: str) -> FederationError:
+        """FederationError(error) to raise, after sending the peer on channel
+        idx an error frame with message tell, best effort."""
+        _best_effort(self._channels[idx], "error", {"message": tell})
+        return FederationError(error)
 
     def handshake(self) -> None:
         for idx, ch in enumerate(self._channels):
             th = threading.Thread(target=self._reader, args=(idx, ch), daemon=True)
             th.start()
             self._threads.append(th)
+        n = self.game.n
         deadline = time.monotonic() + self.timeout
-        pending = set(range(len(self._channels)))
-        chan_agent: dict[int, int] = {}
-        while pending:
-            try:
-                idx, kind, item = self._get(deadline)
-            except queue.Empty:
-                raise FederationError(
-                    f"timeout waiting for hello on {len(pending)} connection(s)"
-                ) from None
-            ch = self._channels[idx]
-            if kind != "frame":
-                raise FederationError(f"connection {idx} failed before hello: {item}")
-            ftype, payload = item
-            if ftype == "error":
-                raise FederationError(f"connection {idx} sent error: {payload.get('message')}")
+
+        def late():
+            pending = n - len(self._agent)
+            return FederationError(f"timeout waiting for hello on {pending} connection(s)")
+
+        while len(self._agent) < n:
+            idx, ftype, hello = self._next(deadline, late)
+            conn, aid = f"connection {idx}", hello.get("agent_id")
             if ftype != "hello":
-                _best_effort(ch, "error", {"message": "expected hello"})
-                raise FederationError(f"connection {idx} sent {ftype} before hello")
-            if payload.get("protocol_version") != PROTOCOL_VERSION:
-                _best_effort(ch, "error", {"message": "unsupported protocol version"})
-                raise FederationError(
-                    f"connection {idx}: protocol version {payload.get('protocol_version')!r}"
+                raise self._refuse(idx, "expected hello", f"{conn} sent {ftype} before hello")
+            if hello.get("protocol_version") != PROTOCOL_VERSION:
+                raise self._refuse(
+                    idx, "unsupported protocol version",
+                    f"{conn}: protocol version {hello.get('protocol_version')!r}",
                 )
-            if payload.get("digest") != self.digest:
-                _best_effort(ch, "error", {"message": "instance digest mismatch"})
-                raise FederationError(f"connection {idx}: instance digest mismatch")
-            aid = payload.get("agent_id")
-            if not isinstance(aid, int) or not 0 <= aid < self.game.n:
-                _best_effort(ch, "error", {"message": "agent_id out of range"})
-                raise FederationError(f"connection {idx}: bad agent id {aid!r}")
-            if aid in self._by_agent:
-                _best_effort(ch, "error", {"message": "duplicate agent_id"})
-                raise FederationError(f"duplicate hello for agent {aid}")
-            self._by_agent[aid] = ch
-            chan_agent[idx] = aid
-            pending.discard(idx)
-        self._chan_agent = chan_agent
-        ack = {
+            if hello.get("digest") != self.digest:
+                tell = "instance digest mismatch"
+                raise self._refuse(idx, tell, f"{conn}: {tell}")
+            if not isinstance(aid, int) or not 0 <= aid < n:
+                raise self._refuse(idx, "agent_id out of range", f"{conn}: bad agent id {aid!r}")
+            if idx in self._agent or aid in self._agent.values():
+                raise self._refuse(idx, "duplicate agent_id", f"duplicate hello for agent {aid}")
+            self._agent[idx] = aid
+        self._send_all("hello", {
             "protocol_version": PROTOCOL_VERSION,
             "run_id": self.run_id,
-            "n": self.game.n,
+            "n": n,
             "m": self.game.m,
-        }
-        self._send_all("hello", ack)
+        })
 
     def _send_all(self, ftype: str, payload: dict) -> None:
         """Send one frame to every agent in id order; a failed send names
         the agent."""
         data = encode_frame(ftype, payload)
-        for aid in sorted(self._by_agent):
+        for idx in sorted(self._agent, key=self._agent.get):
             try:
-                self._by_agent[aid].send_bytes(data)
+                self._channels[idx].send_bytes(data)
             except FederationError as exc:
-                raise FederationError(f"agent {aid} disconnected: {exc}") from None
-
-    def _parse_report(
-        self, phase: str, payload: dict
-    ) -> tuple[float | None, list[float] | None]:
-        """(s_next, d) of a report, each None where the phase has none."""
-        aid = payload.get("agent_id")
-        s_next = payload.get("s_next")
-        d = payload.get("d")
-        if phase in ("1", "single"):
-            s_next = _finite(s_next)
-            if s_next is None:
-                raise FederationError(
-                    f"agent {aid}: report s_next {payload.get('s_next')!r} is not a finite "
-                    f"number in phase {phase}"
-                )
-        elif s_next is not None:
-            raise FederationError(f"agent {aid}: unexpected s_next in phase 2")
-        if phase in ("2", "single"):
-            d = _finite_list(d, self.game.m)
-            if d is None:
-                raise FederationError(
-                    f"agent {aid}: report gradient is not {self.game.m} finite numbers"
-                )
-        elif d is not None:
-            raise FederationError(f"agent {aid}: unexpected gradient in phase 1")
-        return s_next, d
+                raise FederationError(f"agent {self._agent[idx]} disconnected: {exc}") from None
 
     def step(
         self,
@@ -374,49 +352,50 @@ class RemotePool:
             "w": [float(v) for v in w],
             "s": [float(v) for v in s],
         })
-        n = self.game.n
+        n, m = self.game.n, self.game.m
         s_next = None if phase == "2" else np.empty(n)
-        grads = None if phase == "1" else np.empty((n, self.game.m))
+        grads = None if phase == "1" else np.empty((n, m))
         got: set[int] = set()
         deadline = time.monotonic() + self.timeout
+
+        def late():
+            missing = sorted(set(range(n)) - got)
+            return FederationError(f"no report from agent(s) {missing} within {self.timeout}s")
+
         while len(got) < n:
-            try:
-                idx, kind, item = self._get(deadline)
-            except queue.Empty:
-                missing = sorted(set(range(n)) - got)
-                raise FederationError(
-                    f"no report from agent(s) {missing} within {self.timeout}s"
-                ) from None
-            aid = self._chan_agent.get(idx)
-            if kind == "closed":
-                raise FederationError(f"agent {aid} disconnected")
-            if kind == "fail":
-                raise FederationError(f"agent {aid} channel failed at round {t}: {item}")
-            ftype, payload_in = item
-            if ftype == "error":
-                raise FederationError(
-                    f"agent {aid} reported an error: {payload_in.get('message')}"
-                )
+            idx, ftype, report = self._next(deadline, late)
+            aid = self._agent[idx]
             if ftype != "report":
                 raise FederationError(f"agent {aid} sent unexpected {ftype}")
-            if payload_in.get("run_id") != self.run_id or payload_in.get("t") != t:
+            if report.get("run_id") != self.run_id or report.get("t") != t:
                 # stale or foreign report: tell the agent and keep waiting
                 _best_effort(
-                    self._by_agent[aid], "error",
+                    self._channels[idx], "error",
                     {"message": f"dropped report with run_id/t mismatch at round {t}"},
                 )
                 continue
-            if payload_in.get("agent_id") != aid:
-                raise FederationError(
-                    f"agent {aid} sent report claiming id {payload_in.get('agent_id')}"
-                )
+            claimed, s_raw, d_raw = report.get("agent_id"), report.get("s_next"), report.get("d")
+            if claimed != aid:
+                raise FederationError(f"agent {aid} sent report claiming id {claimed}")
             if aid in got:
-                raise FederationError(f"agent {aid} sent a duplicate report for round {t}")
-            s_i, d_i = self._parse_report(phase, payload_in)
+                raise FederationError(f"agent {aid} sent a duplicate report")
             if s_next is not None:
+                s_i = _finite(s_raw)
+                if s_i is None:
+                    raise FederationError(
+                        f"agent {aid}: report s_next {s_raw!r} is not a finite number "
+                        f"in phase {phase}"
+                    )
                 s_next[aid] = s_i
+            elif s_raw is not None:
+                raise FederationError(f"agent {aid}: unexpected s_next in phase 2")
             if grads is not None:
-                grads[aid] = d_i
+                d = _finite_list(d_raw, m)
+                if d is None:
+                    raise FederationError(f"agent {aid}: report gradient is not {m} finite numbers")
+                grads[aid] = d
+            elif d_raw is not None:
+                raise FederationError(f"agent {aid}: unexpected gradient in phase 1")
             got.add(aid)
         return s_next, grads
 

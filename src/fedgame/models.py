@@ -19,7 +19,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .core import ConfigError, ModelEvalError
+from .core import BOUND_TOL, ConfigError, ModelEvalError
 
 
 @runtime_checkable
@@ -194,7 +194,7 @@ class CostModel:
         return len(self.coeffs)
 
     def value(self, i: int, s_i: float) -> float:
-        if s_i < -1e-12:
+        if s_i < -BOUND_TOL:
             raise ConfigError("contribution below zero in cost evaluation")
         s_i = max(s_i, 0.0)
         if self.kind == "linear":
@@ -202,7 +202,7 @@ class CostModel:
         return float(sum(c * s_i ** (k + 1) for k, c in enumerate(self.coeffs[i])))
 
     def deriv(self, i: int, s_i: float) -> float:
-        if s_i < -1e-12:
+        if s_i < -BOUND_TOL:
             raise ConfigError("contribution below zero in cost derivative")
         s_i = max(s_i, 0.0)
         if self.kind == "linear":
@@ -214,7 +214,7 @@ class CostModel:
         x = np.asarray(x, dtype=float)
         if self.kind != "linear":
             return np.array([self.value(int(i), float(v)) for i, v in zip(idx, x)])
-        if (x < -1e-12).any():
+        if (x < -BOUND_TOL).any():
             raise ConfigError("contribution below zero in cost evaluation")
         # np.where, unlike np.maximum, keeps max(-0.0, 0.0) == -0.0 as in value
         return self.slopes[np.asarray(idx, dtype=np.intp)] * np.where(x < 0.0, 0.0, x)

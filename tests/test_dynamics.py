@@ -1,5 +1,7 @@
 """Round dynamics: simultaneous, two-phase, baselines, rate arithmetic."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from fedgame.dynamics import (
 )
 from fedgame.models import EmpiricalAccuracy, synth_dataset
 
-from conftest import quadratic_game
+from conftest import SeparableAccuracy, quadratic_game, separable_game
 
 
 def example_start():
@@ -101,6 +103,32 @@ def test_upbred_error_outcome_reports_round(example_game):
     assert trace.outcome == "Error"
     assert trace.error.startswith("round 0:")
     assert trace.records == []
+
+
+class GradientBlowsUp(SeparableAccuracy):
+    """Separable family whose w-gradient for agent `bad` is infinite once its
+    contribution exceeds `cap`: finite at the start, non-finite at the
+    updated profile."""
+
+    def __init__(self, bad, cap, **kw):
+        super().__init__(**kw)
+        self.bad, self.cap = bad, cap
+
+    def grad_w(self, i, w, s):
+        g = super().grad_w(i, w, s)
+        return np.full_like(g, np.inf) if i == self.bad and s[i] > self.cap else g
+
+
+def test_upbred_error_names_agent_with_non_finite_updated_gradient():
+    base = separable_game(n=3, m=2)
+    a = base.accuracy
+    g = replace(base, accuracy=GradientBlowsUp(1, 0.0, k=a.k, q=a.q, alpha=a.alpha, w_bar=a.w_bar))
+    cfg = RunConfig(gamma=0.25, eta=0.25, rounds=10, w_grad_at="updated")
+    # every agent's contribution rises from zero in round 0
+    trace = run_dynamic(g, cfg, "upbred", np.zeros(2), np.zeros(3))
+    assert trace.outcome == "Error"
+    assert trace.error == "round 0: non-finite local gradient for agent 1", trace.error
+    assert len(trace.records) == 1
 
 
 def test_upbred_w_grad_at_choices_differ(example_game):

@@ -244,6 +244,19 @@ def test_handshake_rejects_duplicate_agent(example_game, pipe):
         pool.close(ok=False)
 
 
+def test_handshake_refuses_a_second_hello_on_one_connection(example_game, pipe):
+    pool, agents = manual_pool(pipe, example_game, timeout=1.0)
+    try:
+        send_frame(agents[0], "hello", hello_payload(example_game, 0))
+        send_frame(agents[0], "hello", hello_payload(example_game, 1))
+        send_frame(agents[1], "hello", hello_payload(example_game, 0))
+        # whichever of the last two hellos the center reads first is refused
+        with pytest.raises(FederationError, match="duplicate hello"):
+            pool.handshake()
+    finally:
+        pool.close(ok=False)
+
+
 def test_handshake_times_out_without_hello(example_game, pipe):
     pool, _agents = manual_pool(pipe, example_game, timeout=0.2)
     try:
@@ -422,6 +435,75 @@ def test_step_fails_on_agent_error_frame(example_game, pipe):
         send_frame(agents[0], "error", {"message": "local blowup"})
         with pytest.raises(FederationError, match="local blowup"):
             pool.step(0, "1", np.zeros(2), np.zeros(2))
+    finally:
+        pool.close(ok=False)
+
+
+# Every exit of the center's wait names the peer: "connection k" before its
+# hello was accepted, "agent i" after.  Each ends at once, well within the
+# timeout.
+EXIT_TIMEOUT = 2.0
+
+
+BEFORE_HELLO = {
+    "closed": (lambda ch: ch.close(), r"^connection 0 disconnected$"),
+    "error-frame": (
+        lambda ch: send_frame(ch, "error", {"message": "no thanks"}),
+        r"^connection 0 reported an error: no thanks$",
+    ),
+    "report": (
+        lambda ch: send_frame(ch, "report", {"run_id": "x", "t": 0, "agent_id": 0}),
+        r"^connection 0 sent report before hello$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BEFORE_HELLO))
+def test_handshake_exit_before_hello_names_the_connection(example_game, pipe, case):
+    act, message = BEFORE_HELLO[case]
+    pool, agents = manual_pool(pipe, example_game, timeout=EXIT_TIMEOUT)
+    try:
+        started = time.monotonic()
+        act(agents[0])
+        with pytest.raises(FederationError, match=message):
+            pool.handshake()
+        assert time.monotonic() - started < EXIT_TIMEOUT
+        if case == "report":
+            ftype, payload = decode_frame(agents[0].recv_line(EXIT_TIMEOUT))
+            assert (ftype, payload) == ("error", {"message": "expected hello"})
+    finally:
+        pool.close(ok=False)
+
+
+def _report_twice(pool, ch):
+    for _ in range(2):
+        send_frame(ch, "report", {"run_id": pool.run_id, "t": 0, "agent_id": 0, "s_next": 1.0})
+
+
+MID_ROUND = {
+    "malformed": (
+        lambda pool, ch: ch.send_bytes(b"{not json}\n"),
+        r"^agent 0 channel failed: bad JSON: .* \(byte offset 1\)$",
+    ),
+    "unexpected-type": (
+        lambda pool, ch: send_frame(ch, "hello", hello_payload(pool.game, 0)),
+        r"^agent 0 sent unexpected hello$",
+    ),
+    "duplicate-report": (_report_twice, r"^agent 0 sent a duplicate report$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MID_ROUND))
+def test_step_exit_mid_round_names_the_agent(example_game, pipe, case):
+    act, message = MID_ROUND[case]
+    pool, agents = manual_pool(pipe, example_game, timeout=EXIT_TIMEOUT)
+    try:
+        complete_handshake(pool, agents, example_game)
+        act(pool, agents[0])
+        started = time.monotonic()
+        with pytest.raises(FederationError, match=message):
+            pool.step(0, "1", np.zeros(2), np.zeros(2))
+        assert time.monotonic() - started < EXIT_TIMEOUT
     finally:
         pool.close(ok=False)
 
