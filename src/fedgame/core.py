@@ -227,10 +227,17 @@ def evaluate_profile(
 def _left_sum(a: np.ndarray):
     """Sum along axis 0 in the order `total = 0.0; total += a[k]` adds.
 
-    cumsum accumulates strictly left to right; adding 0.0 turns the -0.0
-    that a sum starting from a[0] can end on into the +0.0 a sum starting
-    from 0.0 gives, and leaves every other value as it is.
+    On a C-contiguous (n, m) array with m >= 2, np.add.reduce along axis 0
+    runs its inner loop over the m columns and adds the rows one after the
+    other, left to right, without cumsum's (n, m) prefix array.  On 1-D
+    input, a single column or any other layout, axis 0 becomes the inner
+    loop, which numpy sums pairwise; cumsum accumulates strictly left to
+    right in every layout.  Adding 0.0 turns the -0.0 that a sum starting
+    from a[0] can end on into the +0.0 a sum starting from 0.0 gives, and
+    leaves every other value as it is.
     """
+    if a.ndim == 2 and a.shape[1] >= 2 and a.flags.c_contiguous:
+        return np.add.reduce(a, axis=0) + 0.0
     return np.cumsum(a, axis=0)[-1] + 0.0
 
 

@@ -30,7 +30,9 @@ not move is None.  LocalPool steps a set of agents in process, every agent
 by default, and reuses what it is given: the analytic step the derivatives
 and the gradients, the empirical step the gradients and the test losses the
 empirical family appends; it clamps s_next to [0, s_max] and takes an
-updated-profile gradient there.  A remote agent runs an AgentWorker, the
+updated-profile gradient there, re-evaluating only the agents whose
+contribution changed and keeping the given gradient rows of the rest, which
+have the same bits.  A remote agent runs an AgentWorker, the
 LocalPool of its one id, which is given neither and evaluates its own row
 and derivative; the federation module's RemotePool passes on the agents'
 replies as reported, in the same arrays, and ignores rows and derivatives.
@@ -179,19 +181,27 @@ class LocalPool:
         self.ids = np.array(game.ids if ids is None else ids, dtype=np.intp)
         self.cfg = cfg
         self._id_list = self.ids.tolist()
-        self._rows = np.arange(len(self.ids))
         self._s_hi = game.s_max[self.ids]
         self._prev_s: list[float | None] = [None] * len(self.ids)
         self._last_quotient = [0.0] * len(self.ids)
 
-    def _evaluate(self, w: np.ndarray, s: np.ndarray, own: list[float] | None = None):
-        """Oracle rows at profile s, one row every agent shares, or, given
-        own, at s with each agent's entry replaced by its own[r]."""
-        S = s[None, :]
-        if own is not None:
-            S = S.repeat(len(self._id_list), axis=0)
-            S[self._rows, self.ids] = own
-        return self.game.accuracy.evaluate(self.ids, w, S)
+    def _updated_grads(
+        self, w: np.ndarray, s: np.ndarray, s_next: np.ndarray, grads: np.ndarray
+    ) -> np.ndarray:
+        """Each agent's w-gradient at s with its own entry replaced by
+        s_next[r], given grads, the rows at s.  An agent whose s_next[r] has
+        the bits of s[ids[r]] keeps its row of grads, which the shared-row
+        contract makes bit for bit its re-evaluated row; the others (a zero
+        that changes sign among them) are evaluated in one call."""
+        moved = np.flatnonzero(s_next.view(np.int64) != s[self.ids].view(np.int64))
+        if len(moved) == 0:
+            return grads
+        ids = self.ids[moved]
+        S = s[None, :].repeat(len(moved), axis=0)
+        S[np.arange(len(moved)), ids] = s_next[moved]
+        grads = grads.copy()
+        grads[moved] = self.game.accuracy.evaluate(ids, w, S)[2]
+        return grads
 
     def _empirical_step(
         self, w: np.ndarray, s: np.ndarray, rows: tuple
@@ -237,13 +247,16 @@ class LocalPool:
         oracle rows at (w, s) and stand in for evaluating them again, for
         either updater; derivatives, given with rows, are the set's
         strategy_derivatives at them and stand in for the analytic step's.
-        Without them the step computes its own."""
+        Without them the step computes its own.  At the updated profile
+        only the agents whose contribution changed are evaluated again, in
+        one call, and none when no agent moved."""
         if phase not in ("1", "2", "single"):
             raise ConfigError(f"unknown round phase {phase!r}")
         w = np.asarray(w, dtype=float)
         s = np.asarray(s, dtype=float)
         if rows is None:
-            rows, derivatives = self._evaluate(w, s), None
+            # one profile row that every agent shares
+            rows, derivatives = self.game.accuracy.evaluate(self.ids, w, s[None, :]), None
         if phase == "single" and self.cfg.updater == "empirical":
             s_next, grads = self._empirical_step(w, s, rows)
             return s_next, self._checked(grads)
@@ -253,9 +266,10 @@ class LocalPool:
                 derivatives = strategy_derivatives(self.game, self.ids, s, rows[1])
             s_next = _clamp(s[self.ids] + self.cfg.gamma * derivatives, self._s_hi)
         if phase != "1":
+            grads = rows[2]
             if phase == "single" and self.cfg.w_grad_at == "updated":
-                rows = self._evaluate(w, s, s_next)
-            grads = self._checked(rows[2])
+                grads = self._updated_grads(w, s, s_next, grads)
+            grads = self._checked(grads)
         return s_next, grads
 
 

@@ -30,9 +30,11 @@ class AccuracyModel(Protocol):
     three results belongs to agent idx[r] at model w and profile S[r] (an
     array of shape (len(idx), n)), and gives that agent's accuracy, the
     accuracy's slope in the agent's own contribution, and its gradient in w
-    (shape (len(idx), m)).  S may also be a single row, shape (1, n), that
-    every idx shares, as when all agents are evaluated at one profile; the
-    results are then bit for bit those of that row repeated len(idx) times.
+    (shape (len(idx), m)).  Row r depends only on idx[r], w and S[r], so
+    evaluating a subset of the rows gives exactly those rows of the full
+    call.  S may also be a single row, shape (1, n), that every idx shares,
+    as when all agents are evaluated at one profile; the results are then
+    bit for bit those of that row repeated len(idx) times.
     A family may append more columns; callers read the first three.  The
     empirical family appends a fourth, losses: the test loss whose
     r_i - loss is the accuracy, so that the difference-quotient step need

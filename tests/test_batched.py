@@ -1,12 +1,14 @@
 """The batched accuracy oracle and its three hot callers.
 
 evaluate, the pool step and the best-response scan each agree bit for bit
-with their per-agent forms, and evaluate at one shared profile row with
-that row repeated; a round makes a fixed number of oracle calls and one
+with their per-agent forms, evaluate at one shared profile row with that
+row repeated, and evaluate of a subset of rows with those rows of the full
+call; a round makes a fixed number of oracle calls and one
 strategy-derivative call, and the pool step reuses the round record's
-rows; a remote agent evaluates only its own row; the empirical step's
-gradients and test losses are evaluate rows, the record's when it is
-given them, else from its own one fused test-set pass.
+rows, re-evaluating at the updated profile only the agents that moved; a
+remote agent evaluates only its own row; the empirical step's gradients
+and test losses are evaluate rows, the record's when it is given them,
+else from its own one fused test-set pass.
 """
 
 import threading
@@ -145,6 +147,34 @@ def test_a_shared_profile_row_equals_that_row_repeated(seed, family, n, k):
                 strategy_derivatives(game, game.ids, s, full[1]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, family=st.sampled_from(["quadratic", "empirical", "separable"]),
+       n=st.integers(1, 40), k=st.integers(1, 12))
+def test_evaluate_rows_are_independent(seed, family, n, k):
+    """Row r of evaluate depends only on idx[r], w and S[r]: any subset of
+    the rows, a single one (the shared-row form) included, evaluates to
+    exactly those rows of the full call, in every column."""
+    rng = np.random.default_rng(seed)
+    if family == "quadratic":
+        acc = random_quadratic(rng, n, int(rng.integers(1, 6)),
+                               float(rng.choice([0.0, 1e-6, 1.0])))
+    elif family == "empirical":
+        acc = random_empirical(rng, n)
+    else:
+        acc = SeparableAccuracy(k=rng.uniform(0.2, 1.5, n), q=float(rng.uniform(0.5, 2.0)),
+                                alpha=1.0, w_bar=rng.normal(size=int(rng.integers(1, 4))))
+    idx = rng.integers(0, n, size=k)  # ids may repeat
+    S = spread(rng, (k, n))
+    w = rng.normal(size=acc.dim) * 2.0
+    full = acc.evaluate(idx, w, S)
+    keep = np.flatnonzero(rng.random(k) < 0.5)
+    for sel in (keep, rng.integers(0, k, size=1)):
+        if len(sel):
+            part = acc.evaluate(idx[sel], w, S[sel])
+            assert len(part) == len(full)
+            assert all(same(a, b[sel]) for a, b in zip(part, full))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=SEEDS, n=st.integers(1, 40), k=st.integers(1, 8))
 def test_quadratic_evaluate_singular_row_raises(seed, n, k):
@@ -252,28 +282,53 @@ def test_pool_step_matches_per_agent_workers(phase, updater, w_grad_at, seed):
         w = w + 0.1 * rng.normal(size=game.m)
 
 
+def updated_profile_grads(game, w, s, s_next):
+    """Every agent's gradient at s with its own entry replaced by s_next,
+    from the full (n, n) profile: the reference for the pool step's
+    updated-profile gradient."""
+    S = np.tile(s, (game.n, 1))
+    np.fill_diagonal(S, s_next)
+    return game.accuracy.evaluate(game.ids, w, S)[2]
+
+
+def spy_evaluate(mp, game):
+    """Record each evaluate call's (idx, S) in the returned list."""
+    calls = []
+    original = type(game.accuracy).evaluate
+
+    def spy(self, idx, w_in, S):
+        calls.append((np.array(idx), np.array(S)))
+        return original(self, idx, w_in, S)
+
+    mp.setattr(type(game.accuracy), "evaluate", spy)
+    return calls
+
+
+def moved_profiles(s, ids, s_next):
+    """The rows that re-evaluate the agents ids at s with their own entries
+    replaced by s_next."""
+    S = np.tile(s, (len(ids), 1))
+    S[np.arange(len(ids)), ids] = s_next
+    return S
+
+
 @pytest.mark.parametrize("w_grad_at", ["updated", "current"])
 @pytest.mark.parametrize("phase", ["1", "2", "single"])
 @settings(max_examples=12, deadline=None)
 @given(seed=SEEDS)
 def test_pool_step_reuses_the_record_rows(phase, w_grad_at, seed):
     """Given the round record's rows, the analytic pool step returns what it
-    returns without them and evaluates nothing at (w, s) itself."""
+    returns without them and evaluates nothing at (w, s) itself; the
+    updated-profile gradient re-evaluates only the agents that moved, in
+    one call, and equals the full (n, n) profile's bit for bit."""
     rng = np.random.default_rng(seed)
     game, s = step_game(rng, "analytic")
     cfg = RunConfig(gamma=0.5, eta=0.5, rounds=5, w_grad_at=w_grad_at)
     w = rng.normal(size=game.m)
     expected = LocalPool(game, cfg).step(0, phase, w, s)
     rows = evaluate_profile(game, w, s)
-    profiles = []
-    original = type(game.accuracy).evaluate
-
-    def spy(self, idx, w_in, S):
-        profiles.append(np.array(S))
-        return original(self, idx, w_in, S)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(type(game.accuracy), "evaluate", spy)
+        calls = spy_evaluate(mp, game)
         got = LocalPool(game, cfg).step(0, phase, w, s, rows)
     for a, b in zip(got, expected):
         assert (a is None) == (b is None)
@@ -281,11 +336,46 @@ def test_pool_step_reuses_the_record_rows(phase, w_grad_at, seed):
             assert same(a, b)
     # only the gradient at the updated profile needs a call of its own
     if phase == "single" and w_grad_at == "updated":
-        updated = np.tile(s, (game.n, 1))
-        np.fill_diagonal(updated, got[0])
-        assert len(profiles) == 1 and same(profiles[0], updated)
+        s_next, grads = got
+        assert same(grads, updated_profile_grads(game, w, s, s_next))
+        moved = np.flatnonzero(s_next.view(np.int64) != s.view(np.int64))
+        if len(moved) == 0:
+            assert calls == []
+        else:
+            [(idx, S)] = calls
+            assert same(idx, moved)
+            assert same(S, moved_profiles(s, moved, s_next[moved]))
     else:
-        assert profiles == []
+        assert calls == []
+
+
+@pytest.mark.parametrize("s,moved", [
+    pytest.param([2.0, 2.0, 0.0, 2.0], [], id="none-moves"),
+    pytest.param([2.0, 1.0, 0.0, 2.0], [1], id="one-moves"),
+    # -0.0 + gamma * 0.0 is +0.0: equal in value, a move in bits
+    pytest.param([2.0, 2.0, -0.0, 2.0], [2], id="signed-zero-moves"),
+])
+def test_updated_profile_gradient_evaluates_only_the_agents_that_moved(s, moved):
+    """Agents pinned at the ceiling (derivative corrected to 0) or at the
+    floor keep their record rows; a moving agent is evaluated alone, so one
+    mover sends a single (1, n) row, the family's shared-row form."""
+    game = quadratic_game(n=4, m=2, theta=(0.5, -1.0), sigma0=1.0, s_max=2.0,
+                          cost_coeffs=(0.0, 0.0, 5.0, 0.0))
+    cfg = RunConfig(gamma=0.5, eta=0.5, rounds=5)
+    w, s = np.array([3.0, 1.0]), np.array(s)
+    rows = evaluate_profile(game, w, s)
+    given_grads = rows[2].copy()
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_evaluate(mp, game)
+        s_next, grads = LocalPool(game, cfg).step(0, "single", w, s, rows)
+    assert same(grads, updated_profile_grads(game, w, s, s_next))
+    assert same(rows[2], given_grads)  # the record's rows are left as given
+    if not moved:
+        assert calls == [] and same(grads, rows[2])
+    else:
+        [(idx, S)] = calls
+        assert idx.tolist() == moved and S.shape == (1, game.n)
+        assert same(S, moved_profiles(s, moved, s_next[moved]))
 
 
 EDGE_FLOATS = st.one_of(

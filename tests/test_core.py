@@ -13,6 +13,7 @@ from fedgame.core import (
     GameInstance,
     NumericError,
     PaymentRule,
+    _left_sum,
     clamp_profile,
     payment,
     payment_vector,
@@ -285,3 +286,45 @@ def test_game_arrays_are_built_once_and_read_only():
     with pytest.raises(ValueError):
         g.initial_s += 1.0
     assert list(g.s_max) == [1.0, 2.0, 3.0] and list(g.initial_s) == [0.5, 1.0, 1.5]
+
+
+def left_to_right(a):
+    return np.cumsum(a, axis=0)[-1] + 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), m=st.integers(2, 40),
+       special=st.sampled_from([0.0, 0.05, 0.3]))
+def test_left_sum_adds_rows_left_to_right(seed, n, m, special):
+    """On a C-contiguous (n, m >= 2) array, _left_sum's reduce has the bits
+    of the left-to-right cumsum: mixed magnitudes, signed zeros and +-inf
+    included.  NaN payloads may differ, so NaNs are compared by position."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-12.0, 12.0, (n, m))
+    picks = rng.random((n, m)) < special
+    a[picks] = rng.choice([0.0, -0.0, np.inf, -np.inf], size=int(picks.sum()))
+    if rng.random() < 0.2:
+        a[:, int(rng.integers(0, m))] = -0.0  # a column that sums to -0.0
+    with np.errstate(invalid="ignore"):
+        got, expected = _left_sum(a), left_to_right(a)
+    assert got.shape == (m,)
+    nan = np.isnan(expected)
+    assert (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+@pytest.mark.parametrize("layout", ["1-d", "one column", "fortran"])
+def test_left_sum_keeps_cumsum_where_numpy_sums_pairwise(layout):
+    """1.0 followed by many 1e-16: left to right each add rounds back to 1.0,
+    while numpy's pairwise sum first adds the small terms up.  Where axis 0
+    is numpy's inner loop, _left_sum gives the left-to-right bits."""
+    col = np.array([1.0] + [1e-16] * 100)
+    a = {
+        "1-d": col,
+        "one column": col[:, None],
+        "fortran": np.asfortranarray(np.tile(col[:, None], (1, 3))),
+    }[layout]
+    expected = left_to_right(a)
+    assert np.all(expected == 1.0)
+    assert _left_sum(a).tobytes() == expected.tobytes()
+    assert (np.add.reduce(a, axis=0) + 0.0).tobytes() != expected.tobytes()
