@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from math import inf, isfinite, isnan, sqrt
 
 import numpy as np
-from scipy.stats import qmc
 
 from .core import (
     BOUND_TOL,
@@ -22,9 +21,10 @@ from .core import (
     ModelEvalError,
     NumericError,
     PaymentRule,
+    _left_sum,
     payment,
     social_welfare,
-    utilities,
+    utilities_given,
     welfare_gradient,
 )
 
@@ -106,21 +106,45 @@ def best_response(
 
 
 def _scan(g: GameInstance, i: int, w: np.ndarray, s: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """_own_utility at every contribution in xs, from one batched oracle call.
-
-    A singular point makes the batch raise; the scan then falls back to one
-    call per point so that only that point scores -inf.
-    """
+    """_own_utility at every contribution in xs, from one batched oracle call."""
     trials = s[None, :].repeat(len(xs), axis=0)
     trials[:, i] = xs
+    return _own_utilities(g, i, w, trials)
+
+
+def _accuracies(
+    g: GameInstance, idx: np.ndarray, w: np.ndarray, S: np.ndarray
+) -> tuple[np.ndarray, dict[int, ModelEvalError]]:
+    """Accuracy of agent idx[r] at (w, S[r]) for every row r, from one
+    batched oracle call, and the rows that could not be evaluated.
+
+    A row that cannot be evaluated makes the batch raise; the rows are then
+    evaluated one at a time, so that only a failing row scores -inf, and
+    its error is returned under its row number.
+    """
     try:
-        vals = utilities(g, np.full(len(xs), i), w, trials)
+        return g.accuracy.evaluate(idx, w, S)[0], {}
     except ModelEvalError:
-        return np.array([_own_utility(g, i, w, s, x) for x in xs])
-    nan = np.isnan(vals)
+        pass
+    values = np.empty(len(idx))
+    errors = {}
+    for r, i in enumerate(idx.tolist()):
+        try:
+            values[r] = g.accuracy.value(i, w, S[r])
+        except ModelEvalError as err:
+            values[r], errors[r] = -inf, err
+    return values, errors
+
+
+def _own_utilities(g: GameInstance, i: int, w: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """_own_utility of agent i at every profile row of S: a row whose
+    accuracy cannot be evaluated scores -inf, and the first NaN raises."""
+    idx = np.full(len(S), i)
+    u = utilities_given(g, idx, S, _accuracies(g, idx, w, S)[0])
+    nan = np.isnan(u)
     if nan.any():
-        raise NumericError(f"utility is NaN for agent {i} at s_i={xs[np.argmax(nan)]}")
-    return vals
+        raise NumericError(f"utility is NaN for agent {i} at s_i={float(S[np.argmax(nan), i])}")
+    return u
 
 
 @dataclass(frozen=True)
@@ -224,20 +248,39 @@ class Matrices:
     H_tilde: np.ndarray
 
 
-def _second_difference(f, x: np.ndarray, h: np.ndarray, p: int, q: int) -> float:
-    """Central second difference of f at x in coordinates p and q with steps
-    h: the 3-point form when p == q, the 4-point mixed form otherwise."""
-
-    def f_at(dp: float, dq: float) -> float:
-        y = x.copy()
-        y[p] += dp
-        y[q] += dq
-        return f(y)
-
+def _stencil(h: np.ndarray, p: int, q: int) -> list:
+    """The points of the central second difference in coordinates p and q
+    with steps h, in the order _second_difference takes their values: the
+    3-point form when p == q, the 4-point mixed form otherwise.  A point is
+    a shift (p, dp, q, dq) of the centre, or None for the centre itself."""
     hp, hq = h[p], h[q]
     if p == q:
-        return (f_at(hp, 0.0) - 2.0 * f(x) + f_at(-hp, 0.0)) / hp**2
-    return (f_at(hp, hq) - f_at(hp, -hq) - f_at(-hp, hq) + f_at(-hp, -hq)) / (4.0 * hp * hq)
+        return [(p, hp, p, 0.0), None, (p, -hp, p, 0.0)]
+    return [(p, hp, q, hq), (p, hp, q, -hq), (p, -hp, q, hq), (p, -hp, q, -hq)]
+
+
+def _shifted(x: np.ndarray, shifts: list) -> np.ndarray:
+    """One row per shift (p, dp, q, dq): x with x[p] += dp, then x[q] += dq."""
+    Y = np.repeat(x[None, :], len(shifts), axis=0)
+    for y, shift in zip(Y, shifts):
+        if shift is not None:
+            p, dp, q, dq = shift
+            y[p] += dp
+            y[q] += dq
+    return Y
+
+
+def _second_difference(f: np.ndarray, hp, hq):
+    """Central second differences from the values f at _stencil's points,
+    which run along f's last axis: three for the pure form, four for the
+    mixed one.  The pure form's hp must be a scalar, whose ** 2 is libm's
+    pow; numpy squares an array as hp * hp, which differs in the last bit
+    about once in a thousand.  Non-finite results pass through, for the
+    caller's finite check."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        if f.shape[-1] == 3:
+            return (f[..., 0] - 2.0 * f[..., 1] + f[..., 2]) / hp**2
+        return (f[..., 0] - f[..., 1] - f[..., 2] + f[..., 3]) / (4.0 * hp * hq)
 
 
 def estimate_matrices(g: GameInstance, w: np.ndarray, s: np.ndarray) -> Matrices:
@@ -245,32 +288,81 @@ def estimate_matrices(g: GameInstance, w: np.ndarray, s: np.ndarray) -> Matrices
 
     The profile must be strictly interior; steps in contribution coordinates
     shrink as needed so that every stencil point stays inside the box
-    (one-sided differences are out of scope).
+    (one-sided differences are out of scope).  The stencils go to the
+    oracle in batches, n + 2 m^2 + 1 + 2 m n calls in all, none with more
+    than 4 n profile rows; every stencil value has the bits of its own
+    scalar evaluation, and a failing point raises what the blocks, read
+    one point at a time in the order G, G~, H, H~, would raise.
     """
     w = np.asarray(w, dtype=float)
     s = np.asarray(s, dtype=float)
     if np.any(s <= 0.0) or np.any(s >= g.s_max):
         raise ConfigError("curvature estimation requires a strictly interior profile")
     n, m = g.n, g.m
-    # one stencil over the joint point x = (w, s): w_k is x[k], s_i is x[m + i]
-    x = np.concatenate([w, s])
-    h = np.array([FD_STEP * max(1.0, abs(v)) for v in x.tolist()])
-    h[m:] = np.minimum(h[m:], np.minimum(s, g.s_max - s) / 2.0)
-    if np.any(h[m:] <= 0.0):
+    hw = np.array([FD_STEP * max(1.0, abs(v)) for v in w.tolist()])
+    hs = np.array([FD_STEP * max(1.0, abs(v)) for v in s.tolist()])
+    hs = np.minimum(hs, np.minimum(s, g.s_max - s) / 2.0)
+    if np.any(hs <= 0.0):
         raise ConfigError("profile too close to the boundary for two-sided differences")
 
-    def u(i: int):
-        return lambda xv: _own_utility(g, i, xv[:m], xv[m:], float(xv[m + i]))
+    # G: agent i's own utility at the stencils of every (s_i, s_j), from one
+    # call of 4n - 1 rows (the (s_i, s_i) stencil has three points)
+    G = np.empty((n, n))
+    for i in range(n):
+        shifts = [pt for j in range(n) for pt in _stencil(hs, i, j)]
+        u = _own_utilities(g, i, w, _shifted(s, shifts))
+        G[i, :i] = _second_difference(u[: 4 * i].reshape(i, 4), hs[i], hs[:i])
+        G[i, i] = _second_difference(u[4 * i : 4 * i + 3], hs[i], hs[i])
+        G[i, i + 1 :] = _second_difference(u[4 * i + 3 :].reshape(-1, 4), hs[i], hs[i + 1 :])
 
-    def acc_sum(xv: np.ndarray) -> float:
-        wv, sv = xv[:m], xv[m:]
-        return sum(g.accuracy.value(i, wv, sv) for i in range(n))
+    # G~: summed accuracy at each distinct point of the (w_k, w_l) stencils,
+    # one shared-row call each, in the order the stencils first read them;
+    # the (k, l) and (l, k) stencils have the same points, to the bit
+    sums: dict[bytes, float] = {}
 
-    d2 = _second_difference
-    G = np.array([[d2(u(i), x, h, m + i, m + j) for j in range(n)] for i in range(n)])
-    Gt = np.array([[d2(acc_sum, x, h, k, l) for l in range(m)] for k in range(m)]) / n
-    H = np.array([[d2(u(i), x, h, k, m + i) for k in range(m)] for i in range(n)])
-    Ht = np.array([[d2(acc_sum, x, h, k, m + j) for j in range(n)] for k in range(m)])
+    def summed(y: np.ndarray) -> float:
+        key = y.tobytes()
+        if key not in sums:
+            sums[key] = social_welfare(g, y, s)
+        return sums[key]
+
+    Gt = np.empty((m, m))
+    for k in range(m):
+        for l in range(m):
+            f = np.array([summed(y) for y in _shifted(w, _stencil(hw, k, l))])
+            Gt[k, l] = _second_difference(f, hw[k], hw[l])
+    Gt /= n
+
+    # H and H~ read the same points (w +- h_k e_k, s +- h_j e_j).  For each
+    # of the 2m model points, one call per agent over the 2n contribution
+    # points: agent i's rows with s_i moved give H, and the accuracies
+    # summed over agents, left to right, give H~.
+    S = np.repeat(s[None, :], 2 * n, axis=0)  # rows s + h_j e_j, s - h_j e_j
+    own = np.repeat(g.ids, 2)
+    rows = np.arange(2 * n)
+    S[rows, own] += np.stack([hs, -hs], axis=1).ravel()
+    U = np.empty((n, m, 4))  # U[i, k]: agent i's utility at the (w_k, s_i) stencil
+    T = np.empty((m, n, 4))  # T[k, j]: summed accuracy at the (w_k, s_j) stencil
+    failed = []  # ((k, j, point, agent), error) for each point that raised
+    for k in range(m):
+        for a, dk in enumerate((hw[k], -hw[k])):
+            wk = w.copy()
+            wk[k] += dk
+            acc = np.empty((n, 2 * n))
+            for i in range(n):
+                acc[i], errors = _accuracies(g, np.full(2 * n, i), wk, S)
+                failed += [((k, r // 2, 2 * a + r % 2, i), e) for r, e in errors.items()]
+            T[k, :, 2 * a : 2 * a + 2] = _left_sum(acc).reshape(n, 2)
+            U[:, k, 2 * a : 2 * a + 2] = utilities_given(g, own, S, acc[own, rows]).reshape(n, 2)
+    # H reads its points before H~ does: a NaN utility first, then an error
+    nan = np.isnan(U)
+    if nan.any():
+        i, k, c = np.unravel_index(np.argmax(nan), U.shape)
+        raise NumericError(f"utility is NaN for agent {i} at s_i={float(S[2 * i + c % 2, i])}")
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    H = _second_difference(U, hw[None, :], hs[:, None])
+    Ht = _second_difference(T, hw[:, None], hs[None, :])
 
     for name, arr in (("G", G), ("G_tilde", Gt), ("H", H), ("H_tilde", Ht)):
         if not np.all(np.isfinite(arr)):
@@ -318,6 +410,9 @@ def assumption_samples(
         raise ConfigError("sample count must be >= 1")
     if not (isfinite(w_radius) and w_radius >= 0.0):
         raise ConfigError("w_radius must be finite and >= 0")
+    # scipy.stats takes about 1 s and 65 MB to import: load it only here
+    from scipy.stats import qmc
+
     n = g.n
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
@@ -375,8 +470,8 @@ def check_assumption1(
     samples = list(samples)
     if not samples:
         raise ConfigError("need at least one sample point")
-    if lam < 0.0 or lam_tilde < 0.0:
-        raise ConfigError("concavity levels must be nonnegative")
+    if not (isfinite(lam) and isfinite(lam_tilde) and lam >= 0.0 and lam_tilde >= 0.0):
+        raise ConfigError("concavity levels must be finite and nonnegative")
     lam_est = inf
     lamt_est = inf
     L = Lt = P = Pt = 0.0

@@ -200,18 +200,18 @@ def utility(g: GameInstance, i: int, w: np.ndarray, s: np.ndarray) -> UtilityRep
     return rep
 
 
-def utilities(g: GameInstance, idx: np.ndarray, w: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Utility of agent idx[r] at (w, S[r]) for every row r of S, from one
-    batched oracle call; entry r equals utility(g, idx[r], w, S[r]).utility."""
-    idx = np.asarray(idx, dtype=np.intp)
-    S = np.asarray(S, dtype=float)
-    values = g.accuracy.evaluate(idx, w, S)[0]
+def utilities_given(
+    g: GameInstance, idx: np.ndarray, S: np.ndarray, accuracies: np.ndarray
+) -> np.ndarray:
+    """Utility of agent idx[r] at profile S[r] for every row r, given its
+    accuracy there, accuracies[r] (a row of a batched oracle call): entry r
+    equals utility(g, idx[r], w, S[r]).utility at the w of that call."""
     x = S[np.arange(len(idx)), idx]
     if g.payment.kind == "none":
         pay = np.zeros(len(idx))
     else:
         pay = _transfer(g.payment.beta, g.n, x, S.sum(axis=1))
-    return values - g.cost.values(idx, x) + pay
+    return accuracies - g.cost.values(idx, x) + pay
 
 
 def evaluate_profile(

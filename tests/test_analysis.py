@@ -209,3 +209,11 @@ def test_contraction_diagnostic_skips_tiny_denominators():
 def test_contraction_diagnostic_needs_two_records():
     with pytest.raises(ConfigError):
         contraction_diagnostic([(1.0, 1.0, 0)])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_check_assumption1_rejects_bad_concavity_levels(known_constants_game, bad):
+    samples = assumption_samples(known_constants_game, count=1)
+    for levels in ({"lam": bad}, {"lam_tilde": bad}):
+        with pytest.raises(ConfigError, match="concavity levels must be finite and nonnegative"):
+            check_assumption1(samples, known_constants_game, **levels)
