@@ -6,6 +6,7 @@ the predicted per-round factor W and round bound T0 with the actual run.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -15,8 +16,8 @@ from fedgame.analysis import (
     contraction_diagnostic,
     feasible_steps,
 )
-from fedgame.core import AgentSpec, GameInstance, PaymentRule, strategy_gradient, \
-    welfare_gradient
+from fedgame.core import AgentSpec, ConfigError, GameInstance, PaymentRule, \
+    strategy_gradient, welfare_gradient
 from fedgame.dynamics import RunConfig, contraction_factor, iteration_bound_T0, run_dynamic
 from fedgame.models import CostModel
 
@@ -107,4 +108,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ConfigError as exc:  # bad input: one line and exit 1, as the CLI does
+        sys.exit(f"error: {exc}")

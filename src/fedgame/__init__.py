@@ -9,14 +9,12 @@ federation protocol for running the same rounds across processes or hosts.
 
 from .analysis import (
     AssumptionEstimates,
-    BudgetAudit,
     ContractionReport,
     EquilibriumCertificate,
     FeasibleStepRegion,
     Matrices,
     WelfareOptResult,
     assumption_samples,
-    audit_budget_balance,
     best_response,
     certify_nash,
     check_assumption1,
@@ -24,14 +22,12 @@ from .analysis import (
     contraction_diagnostic,
     estimate_matrices,
     feasible_steps,
-    quadratic_matrices,
 )
 from .config import (
     BuiltScenario,
     ScenarioConfig,
     build_scenario,
     parse_scenario,
-    render_scenario,
 )
 from .core import (
     AgentSpec,

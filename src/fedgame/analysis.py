@@ -20,7 +20,6 @@ from .core import (
     GameInstance,
     ModelEvalError,
     NumericError,
-    PaymentRule,
     _left_sum,
     payment,
     social_welfare,
@@ -179,17 +178,25 @@ def certify_nash(
     grid_points: int = 201,
 ) -> EquilibriumCertificate:
     """Per-agent regret check: profile is an eps-equilibrium iff no agent can
-    gain more than eps by unilaterally moving its own contribution."""
+    gain more than eps by unilaterally moving its own contribution.  w must
+    be finite of shape (m,), and s finite of shape (n,) inside the box;
+    anything else raises ConfigError."""
     if not np.isfinite(eps) or eps <= 0.0:
         raise ConfigError("certification tolerance must be finite and positive")
+    w = np.asarray(w, dtype=float)
     s = np.asarray(s, dtype=float)
+    for name, vec, size in (("w", w, g.m), ("s", s, g.n)):
+        if vec.shape != (size,):
+            raise ConfigError(f"{name} must have shape ({size},), got {vec.shape}")
+        if not np.all(np.isfinite(vec)):
+            raise ConfigError(f"{name} must be finite")
     if np.any(s < -BOUND_TOL) or np.any(s > g.s_max + BOUND_TOL):
         raise ConfigError("profile lies outside the contribution box")
     regrets = []
     brs = []
     for i in range(g.n):
         br, u_br = best_response(g, w, s, i, grid_points)
-        u_cur = _own_utility(g, i, np.asarray(w, dtype=float), s, float(s[i]))
+        u_cur = _own_utility(g, i, w, s, float(s[i]))
         regrets.append(u_br - u_cur)
         brs.append(br)
     worst = int(np.argmax(regrets))
@@ -202,30 +209,6 @@ def certify_nash(
         worst_agent=worst,
         worst_gain=float(regrets[worst]),
     )
-
-
-@dataclass(frozen=True)
-class BudgetAudit:
-    passed: bool
-    max_abs_sum: float
-    threshold: float
-    vacuous: bool  # True when the rule moves no money
-
-
-def audit_budget_balance(rule: PaymentRule, profiles) -> BudgetAudit:
-    """Check that transfers sum to zero on every profile, to rounding."""
-    profiles = [np.asarray(p, dtype=float) for p in profiles]
-    if not profiles:
-        raise ConfigError("budget audit needs at least one profile")
-    if rule.kind == "none":
-        return BudgetAudit(True, 0.0, 0.0, vacuous=True)
-    scale = max(float(np.sum(np.abs(p))) for p in profiles)
-    threshold = 1e-9 * rule.beta * scale
-    worst = 0.0
-    for p in profiles:
-        total = sum(payment(rule, p, i) for i in range(len(p)))
-        worst = max(worst, abs(total))
-    return BudgetAudit(worst <= threshold, worst, threshold, vacuous=False)
 
 
 # ---------------------------------------------------------------------------
@@ -367,33 +350,6 @@ def estimate_matrices(g: GameInstance, w: np.ndarray, s: np.ndarray) -> Matrices
     for name, arr in (("G", G), ("G_tilde", Gt), ("H", H), ("H_tilde", Ht)):
         if not np.all(np.isfinite(arr)):
             raise NumericError(f"non-finite entries in estimated {name}")
-    return Matrices(G=G, G_tilde=Gt, H=H, H_tilde=Ht)
-
-
-def quadratic_matrices(g: GameInstance, w: np.ndarray, s: np.ndarray) -> Matrices:
-    """Closed-form curvature blocks for the quadratic accuracy family.
-
-    With D = |w - theta|^2 and sigma = sigma0 + sum(s):
-    G_ij = -2 D / sigma^3 - [i=j] c_i''(s_i), G_tilde = -(2/sigma) I,
-    H_ik = 2 (w - theta)_k / sigma^2, H_tilde = n H^T-pattern (every column j
-    carries the same 2 n (w - theta) / sigma^2 vector).
-    """
-    acc = g.accuracy
-    theta = np.asarray(acc.theta, dtype=float)
-    w = np.asarray(w, dtype=float)
-    s = np.asarray(s, dtype=float)
-    sigma = acc.sigma0 + float(np.sum(s))
-    if sigma <= 0.0:
-        raise ModelEvalError("singular denominator in closed-form curvature")
-    diff = w - theta
-    D = float(diff @ diff)
-    n, m = g.n, g.m
-    G = np.full((n, n), -2.0 * D / sigma**3)
-    for i in range(n):
-        G[i, i] -= g.cost.second_deriv(i, float(s[i]))
-    Gt = (-2.0 / sigma) * np.eye(m)
-    H = np.tile(2.0 * diff / sigma**2, (n, 1))
-    Ht = np.tile((2.0 * n / sigma**2) * diff.reshape(m, 1), (1, n))
     return Matrices(G=G, G_tilde=Gt, H=H, H_tilde=Ht)
 
 

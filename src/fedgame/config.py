@@ -1,14 +1,12 @@
-"""Scenario files: INI schema, typed parsing, canonical rendering.
+"""Scenario files: INI schema and typed parsing.
 
 The scenario format has four sections: [instance] (the game), [run] (the
 dynamic and its knobs), [init] (starting point) and [output].  Each
 ScenarioConfig field declares one key: its section, its default text, the
 reader that types and bounds it, and for family- or cost-specific keys the
-earlier key and values under which it applies.  Parsing and rendering are
-one loop over those fields.  Unknown sections or keys, and keys that do not
-apply, are rejected rather than ignored so typos cannot silently change an
-experiment.  render_scenario() emits every key that applies in canonical
-form and parse_scenario(render_scenario(cfg)) reproduces cfg exactly.
+earlier key and values under which it applies.  Parsing is one loop over
+those fields.  Unknown sections or keys, and keys that do not apply, are
+rejected rather than ignored so typos cannot silently change an experiment.
 
 All run randomness (random cost draws, random starting points, dataset
 synthesis) flows from the single [run] seed.
@@ -17,7 +15,6 @@ synthesis) flows from the single [run] seed.
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass, field, fields
 from math import ceil, isfinite
 
@@ -298,33 +295,6 @@ def parse_scenario(text: str, overrides: list[str] | None = None) -> ScenarioCon
     if not cfg.s0_lo <= cfg.s0_hi <= 1.0:
         raise ConfigError("need 0 <= init.s0_lo <= init.s0_hi <= 1")
     return cfg
-
-
-def _render(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, float)):
-        return repr(value)
-    if value and isinstance(value[0], tuple):
-        return ";".join(_render(group) for group in value)
-    return ",".join(_render(v) for v in value)
-
-
-def render_scenario(cfg: ScenarioConfig) -> str:
-    """Canonical INI text; every key that applies appears explicitly."""
-    parser = configparser.ConfigParser(interpolation=None)
-    values = vars(cfg)
-    for f in _FIELDS:
-        if _applies(f, values):
-            sec = f.metadata["section"]
-            if not parser.has_section(sec):
-                parser.add_section(sec)
-            parser[sec][f.name] = _render(values[f.name])
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
 
 
 @dataclass

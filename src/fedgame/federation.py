@@ -3,9 +3,9 @@
 Frames are single-line UTF-8 JSON objects {"type": ..., "payload": ...} with
 type in {hello, broadcast, report, bye, error}.  Floats ride as JSON numbers
 in shortest round-trip decimal, so a remote run reproduces the in-process
-arithmetic bit for bit.  Every transport is a stream socket behind one
-channel class: a socketpair for in-process runs and tests, TCP between
-processes.
+arithmetic bit for bit.  Every transport is a connected stream socket
+behind one channel class: TCP between processes, or a socketpair when both
+ends live in one process.
 
 Protocol per run:
   agent -> center   hello {protocol_version, agent_id, digest}
@@ -30,7 +30,7 @@ import queue
 import socket
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from math import isfinite
 
 import numpy as np
@@ -176,12 +176,6 @@ class SocketChannel:
         except OSError:
             pass
         self._sock.close()
-
-
-def channel_pair() -> tuple[SocketChannel, SocketChannel]:
-    """Two connected in-process endpoints."""
-    a, b = socket.socketpair()
-    return SocketChannel(a), SocketChannel(b)
 
 
 def send_frame(channel, ftype: str, payload: dict) -> None:
@@ -552,45 +546,6 @@ def run_agent(
 
 # ---------------------------------------------------------------------------
 # Transport helpers.
-
-
-@dataclass
-class InProcessRun:
-    trace: object
-    agent_status: list[int]
-
-
-def run_inprocess_federation(
-    g: GameInstance,
-    cfg: RunConfig,
-    algorithm: str,
-    w0: np.ndarray | None = None,
-    s0: np.ndarray | None = None,
-    timeout: float = DEFAULT_TIMEOUT,
-) -> InProcessRun:
-    """Full protocol run with every agent on its own thread, each joined to
-    the center by a socketpair; every end is closed on return."""
-    check_timeout(timeout)
-    center_ends, agent_ends = zip(*(channel_pair() for _ in range(g.n)))
-    status = [None] * g.n
-
-    def agent_main(i: int) -> None:
-        try:
-            status[i] = run_agent(g, i, cfg, agent_ends[i], timeout=timeout)
-        except Exception:
-            status[i] = 2
-
-    threads = [threading.Thread(target=agent_main, args=(i,), daemon=True) for i in range(g.n)]
-    for th in threads:
-        th.start()
-    try:
-        trace = serve_center(g, cfg, algorithm, center_ends, w0, s0, timeout)
-    finally:
-        for th in threads:
-            th.join(timeout=10.0)
-        for ch in agent_ends:  # serve_center has closed the center ends
-            ch.close()
-    return InProcessRun(trace=trace, agent_status=[x if x is not None else 2 for x in status])
 
 
 def open_listener(host: str, port: int) -> socket.socket:

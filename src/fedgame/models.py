@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
 from .core import BOUND_TOL, ConfigError, ModelEvalError
 
 
-@runtime_checkable
 class AccuracyModel(Protocol):
     """Shared accuracy family with per-agent parameters inside.
 
@@ -220,14 +219,6 @@ class CostModel:
             raise ConfigError("contribution below zero in cost evaluation")
         # np.where, unlike np.maximum, keeps max(-0.0, 0.0) == -0.0 as in value
         return self.slopes[np.asarray(idx, dtype=np.intp)] * np.where(x < 0.0, 0.0, x)
-
-    def second_deriv(self, i: int, s_i: float) -> float:
-        if self.kind == "linear":
-            return 0.0
-        s_i = max(s_i, 0.0)
-        return float(
-            sum(k * (k + 1) * c * s_i ** (k - 1) for k, c in enumerate(self.coeffs[i]) if k >= 1)
-        )
 
     def max_deriv(self, s_max: np.ndarray) -> float:
         """Largest marginal cost over the box; derivatives are nondecreasing."""

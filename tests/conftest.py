@@ -1,13 +1,27 @@
 """Shared fixtures: the two-agent running example, a five-agent quadratic
-instance, and a separable game with hand-computable curvature constants."""
+instance, and a separable game with hand-computable curvature constants.
 
+Also the references that only tests need: the closed-form curvature of the
+quadratic family, the canonical scenario text that parse_scenario must read
+back exactly, and a full federated run with every agent on a thread, joined
+to the center by a socketpair."""
+
+import configparser
+import io
 import os
+import socket
+import threading
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedgame.core import AgentSpec, GameInstance, PaymentRule
+from fedgame.analysis import Matrices
+from fedgame.config import _FIELDS, ScenarioConfig, _applies
+from fedgame.core import AgentSpec, GameInstance, ModelEvalError, PaymentRule
+from fedgame.dynamics import RunConfig
+from fedgame.federation import DEFAULT_TIMEOUT, SocketChannel, run_agent, serve_center
 from fedgame.models import CostModel, QuadraticAccuracy
 
 # (number, name, "PASS"/"FAIL") entries filled in by tests/test_acceptance.py
@@ -155,3 +169,124 @@ def separable_game(n=3, m=2, q=1.0, alpha=1.0, cost_coeff=0.1):
 @pytest.fixture
 def known_constants_game():
     return separable_game()
+
+
+# ---------------------------------------------------------------------------
+# Closed-form curvature of the quadratic family.
+
+
+def cost_second_deriv(cost: CostModel, i: int, s_i: float) -> float:
+    """c_i''(s_i)."""
+    if cost.kind == "linear":
+        return 0.0
+    s_i = max(s_i, 0.0)
+    return float(
+        sum(k * (k + 1) * c * s_i ** (k - 1) for k, c in enumerate(cost.coeffs[i]) if k >= 1)
+    )
+
+
+def quadratic_matrices(g: GameInstance, w: np.ndarray, s: np.ndarray) -> Matrices:
+    """Closed-form curvature blocks for the quadratic accuracy family.
+
+    With D = |w - theta|^2 and sigma = sigma0 + sum(s):
+    G_ij = -2 D / sigma^3 - [i=j] c_i''(s_i), G_tilde = -(2/sigma) I,
+    H_ik = 2 (w - theta)_k / sigma^2, H_tilde = n H^T-pattern (every column j
+    carries the same 2 n (w - theta) / sigma^2 vector).
+    """
+    acc = g.accuracy
+    theta = np.asarray(acc.theta, dtype=float)
+    w = np.asarray(w, dtype=float)
+    s = np.asarray(s, dtype=float)
+    sigma = acc.sigma0 + float(np.sum(s))
+    if sigma <= 0.0:
+        raise ModelEvalError("singular denominator in closed-form curvature")
+    diff = w - theta
+    D = float(diff @ diff)
+    n, m = g.n, g.m
+    G = np.full((n, n), -2.0 * D / sigma**3)
+    for i in range(n):
+        G[i, i] -= cost_second_deriv(g.cost, i, float(s[i]))
+    Gt = (-2.0 / sigma) * np.eye(m)
+    H = np.tile(2.0 * diff / sigma**2, (n, 1))
+    Ht = np.tile((2.0 * n / sigma**2) * diff.reshape(m, 1), (1, n))
+    return Matrices(G=G, G_tilde=Gt, H=H, H_tilde=Ht)
+
+
+# ---------------------------------------------------------------------------
+# Canonical scenario text.
+
+
+def _render(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, float)):
+        return repr(value)
+    if value and isinstance(value[0], tuple):
+        return ";".join(_render(group) for group in value)
+    return ",".join(_render(v) for v in value)
+
+
+def render_scenario(cfg: ScenarioConfig) -> str:
+    """Canonical INI text; every key that applies appears explicitly, so
+    parse_scenario(render_scenario(cfg)) must give cfg back."""
+    parser = configparser.ConfigParser(interpolation=None)
+    values = vars(cfg)
+    for f in _FIELDS:
+        if _applies(f, values):
+            sec = f.metadata["section"]
+            if not parser.has_section(sec):
+                parser.add_section(sec)
+            parser[sec][f.name] = _render(values[f.name])
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Federation in one process.
+
+
+def channel_pair() -> tuple[SocketChannel, SocketChannel]:
+    """Two connected in-process endpoints."""
+    a, b = socket.socketpair()
+    return SocketChannel(a), SocketChannel(b)
+
+
+@dataclass
+class InProcessRun:
+    trace: object
+    agent_status: list[int]
+
+
+def run_inprocess_federation(
+    g: GameInstance,
+    cfg: RunConfig,
+    algorithm: str,
+    w0: np.ndarray | None = None,
+    s0: np.ndarray | None = None,
+    timeout: float = DEFAULT_TIMEOUT,
+) -> InProcessRun:
+    """Full protocol run with every agent on its own thread, each joined to
+    the center by a channel_pair(); every end is closed on return."""
+    center_ends, agent_ends = zip(*(channel_pair() for _ in range(g.n)))
+    status = [None] * g.n
+
+    def agent_main(i: int) -> None:
+        try:
+            status[i] = run_agent(g, i, cfg, agent_ends[i], timeout=timeout)
+        except Exception:
+            status[i] = 2
+
+    threads = [threading.Thread(target=agent_main, args=(i,), daemon=True) for i in range(g.n)]
+    for th in threads:
+        th.start()
+    try:
+        trace = serve_center(g, cfg, algorithm, center_ends, w0, s0, timeout)
+    finally:
+        for th in threads:
+            th.join(timeout=10.0)
+        for ch in agent_ends:  # serve_center has closed the center ends
+            ch.close()
+    return InProcessRun(trace=trace, agent_status=[x if x is not None else 2 for x in status])

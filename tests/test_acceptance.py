@@ -19,7 +19,6 @@ from fedgame.analysis import (
     contraction_diagnostic,
     estimate_matrices,
     feasible_steps,
-    quadratic_matrices,
 )
 from fedgame.config import build_scenario, parse_scenario
 from fedgame.core import (
@@ -46,7 +45,7 @@ from fedgame.federation import (
 from fedgame.scenarios import builtin_text
 from fedgame.traceio import trace_csv_text
 
-from conftest import ACCEPTANCE_RESULTS, quadratic_game, separable_game
+from conftest import ACCEPTANCE_RESULTS, quadratic_game, quadratic_matrices, separable_game
 
 
 def criterion(num, name):

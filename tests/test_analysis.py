@@ -5,7 +5,6 @@ import pytest
 
 from fedgame.analysis import (
     assumption_samples,
-    audit_budget_balance,
     best_response,
     certify_nash,
     check_assumption1,
@@ -13,11 +12,10 @@ from fedgame.analysis import (
     contraction_diagnostic,
     estimate_matrices,
     feasible_steps,
-    quadratic_matrices,
 )
-from fedgame.core import ConfigError, PaymentRule
+from fedgame.core import ConfigError
 
-from conftest import quadratic_game, separable_game
+from conftest import quadratic_game, quadratic_matrices, separable_game
 
 
 def test_best_response_flat_utility_prefers_smallest(example_game):
@@ -79,17 +77,6 @@ def test_certificate_as_dict_round_trips(example_game):
     assert doc["verdict"] == "Certified"
     assert len(doc["regrets"]) == 2
     assert doc["worst_gain"] == cert.worst_gain
-
-
-def test_budget_audit_linear_and_vacuous():
-    rng = np.random.default_rng(0)
-    profiles = [rng.uniform(0, 10, size=4) for _ in range(50)]
-    audit = audit_budget_balance(PaymentRule.linear(2.5), profiles)
-    assert audit.passed and not audit.vacuous
-    vac = audit_budget_balance(PaymentRule.none(), profiles)
-    assert vac.passed and vac.vacuous
-    with pytest.raises(ConfigError):
-        audit_budget_balance(PaymentRule.linear(1.0), [])
 
 
 def test_estimated_matrices_match_closed_form(five_agent_game):

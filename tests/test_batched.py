@@ -32,7 +32,6 @@ from fedgame.core import (
     strategy_derivatives,
 )
 from fedgame.dynamics import AgentWorker, LocalPool, RunConfig, _clamp, run_dynamic
-from fedgame.federation import run_inprocess_federation
 from fedgame.models import (
     CostModel,
     EmpiricalAccuracy,
@@ -42,7 +41,7 @@ from fedgame.models import (
     synth_dataset,
 )
 
-from conftest import SeparableAccuracy, quadratic_game
+from conftest import SeparableAccuracy, quadratic_game, run_inprocess_federation
 
 SEEDS = st.integers(0, 2**32 - 1)
 

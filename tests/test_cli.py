@@ -158,6 +158,22 @@ def test_certify_argument_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("config, profile, message", [
+    ("example1-upbred", ("--w", "inf,1.5", "--s", "0,5"), "w must be finite"),
+    ("example1-upbred", ("--w", "0.5,1.5", "--s", "nan,5"), "s must be finite"),
+    ("quad5", ("--trace", "example1-upbred.csv"), "w must have shape (3,), got (2,)"),
+], ids=["w-inf", "s-nan", "trace-of-another-instance"])
+def test_certify_rejects_a_profile_it_cannot_score(tmp_path, capsys, config, profile, message):
+    if "--trace" in profile:
+        assert run_cli("run", "--config", "example1-upbred", "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        profile = ("--trace", str(tmp_path / profile[1]))
+    assert run_cli("certify", "--config", config, *profile) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_bounds_estimated_quadratic_region_is_empty(tmp_path, capsys):
     code = run_cli(
         "bounds", "--config", "example1-upbred", "--samples", "16",

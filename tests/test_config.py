@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedgame.config import (
-    build_scenario,
-    parse_scenario,
-    render_scenario,
-)
+from fedgame.config import build_scenario, parse_scenario
 from fedgame.core import ConfigError
 from fedgame.dynamics import RunConfig
 from fedgame.scenarios import builtin_names, builtin_text
+
+from conftest import render_scenario
 
 MINIMAL_QUADRATIC = """
 [instance]

@@ -20,19 +20,20 @@ from fedgame.federation import (
     PROTOCOL_VERSION,
     RemotePool,
     accept_agents,
-    channel_pair,
     connect_agent,
     decode_frame,
     derive_run_id,
     encode_frame,
     open_listener,
     run_agent,
-    run_inprocess_federation,
     send_frame,
     serve_center,
 )
 from fedgame.models import CostModel, QuadraticAccuracy
 from fedgame.traceio import instance_digest, trace_csv_text
+
+import conftest
+from conftest import channel_pair, run_inprocess_federation
 
 
 def cfg_for(rounds=50, **kw):
@@ -736,7 +737,7 @@ def test_inprocess_federation_closes_every_end(example_game, monkeypatch, algori
         ends.extend(pair)
         return pair
 
-    monkeypatch.setattr(federation, "channel_pair", recorded_pair)
+    monkeypatch.setattr(conftest, "channel_pair", recorded_pair)
     cfg = RunConfig(gamma=0.25, eta=0.25, rounds=3000, eps=eps)
     args = (example_game, cfg, algorithm, *example_start())
     if outcome is ConfigError:
@@ -836,7 +837,6 @@ def outcome_within(fn, seconds=1.0):
 @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0], ids=["nan", "inf", "zero"])
 @pytest.mark.parametrize("entry", [
     "accept_agents", "RemotePool", "serve_center", "run_agent", "connect_agent",
-    "run_inprocess_federation",
 ])
 def test_bad_timeout_raises_before_any_wait(example_game, pipe, entry, timeout):
     cfg = cfg_for()
@@ -853,9 +853,6 @@ def test_bad_timeout_raises_before_any_wait(example_game, pipe, entry, timeout):
         # the listener never accepts: a connect that went ahead would hang
         "connect_agent": lambda: connect_agent(
             example_game, 0, cfg, "127.0.0.1", port, timeout=timeout
-        ),
-        "run_inprocess_federation": lambda: run_inprocess_federation(
-            example_game, cfg, "upbred", timeout=timeout
         ),
     }
     try:

@@ -14,9 +14,10 @@ from fedgame.analysis import assumption_samples, certify_nash, compute_w_opt, es
 from fedgame.cli import main
 from fedgame.config import build_scenario, parse_scenario
 from fedgame.dynamics import run_dynamic
-from fedgame.federation import run_inprocess_federation
 from fedgame.scenarios import builtin_text
 from fedgame.traceio import trace_csv_text
+
+from conftest import run_inprocess_federation
 
 # (scenario, overrides, sha256 of the trace CSV, outcome, records, error prefix)
 CASES = {

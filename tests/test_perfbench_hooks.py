@@ -23,7 +23,7 @@ from fedgame.core import PaymentRule
 from fedgame.dynamics import RunConfig
 from fedgame.traceio import trace_csv_text
 
-from conftest import quadratic_game
+from conftest import channel_pair, quadratic_game
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -66,7 +66,7 @@ def test_federated_run_over_counting_channels_keeps_the_trace(monkeypatch, algor
     cfg = RunConfig(gamma=0.5, eta=0.5, rounds=8, eps=1e-14)
     s0 = np.full(4, 0.5)
     expected = trace_csv_text(dynamics.run_dynamic(g, cfg, algorithm, s0=s0))
-    center_ends, agent_ends = zip(*(federation.channel_pair() for _ in range(g.n)))
+    center_ends, agent_ends = zip(*(channel_pair() for _ in range(g.n)))
     wrapped = [counting(ch) for ch in center_ends]
     status = [None] * g.n
 

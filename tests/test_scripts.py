@@ -39,3 +39,13 @@ def test_contraction_demo_certifies_and_its_bound_holds():
     lines = proc.stdout.splitlines()
     assert lines[0].endswith("certified=True")
     assert lines[-1].endswith("(bound holds: True)")
+
+
+@pytest.mark.parametrize("lam", ["nan", "-1"])
+def test_contraction_demo_rejects_a_bad_level_in_one_line(lam):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "contraction_demo.py"), "--lam", lam],
+        env=src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: concavity levels must be finite and nonnegative\n"
