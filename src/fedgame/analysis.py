@@ -3,14 +3,16 @@
 Certification is deliberately independent of any gradient machinery: each
 agent's best response is found by a uniform scan plus golden-section
 refinement of its own utility, so a certificate does not inherit assumptions
-from the dynamics under test.
+from the dynamics under test.  Each agent's scan is one batched oracle call;
+the refine runs all agents in lockstep, one batched oracle call per
+golden-section step, and every value has the bits of its one-agent form.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import inf, isfinite, isnan, sqrt
+from math import inf, isfinite, sqrt
 
 import numpy as np
 
@@ -21,13 +23,13 @@ from .core import (
     ModelEvalError,
     NumericError,
     _left_sum,
-    payment,
     social_welfare,
     utilities_given,
     welfare_gradient,
 )
 
 GOLDEN_XTOL = 1e-8
+INVPHI = (sqrt(5.0) - 1.0) / 2.0
 NSD_TOL = 1e-9
 # assumption_samples keeps contributions this fraction of s_max off each edge
 INTERIOR_MARGIN = 0.05
@@ -38,77 +40,125 @@ W_OPT_TOL = 1e-6
 W_OPT_MAX_ITERS = 10000
 
 
-def _own_utility(g: GameInstance, i: int, w: np.ndarray, s: np.ndarray, x: float) -> float:
-    """Agent i's utility at contribution x, others fixed.
-
-    A singular accuracy denominator is scored -inf (the correct limit for a
-    maximizer to avoid); any NaN propagates as an error.
-    """
-    trial = np.array(s, dtype=float)
-    trial[i] = x
-    try:
-        a = g.accuracy.value(i, w, trial)
-    except ModelEvalError:
-        return -inf
-    u = a - g.cost.value(i, x) + payment(g.payment, trial, i)
-    if isnan(u):
-        raise NumericError(f"utility is NaN for agent {i} at s_i={x}")
-    return u
-
-
-def _golden_max(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
-    """Golden-section maximization; ties resolve toward the left endpoint."""
-    invphi = (sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def best_response(
     g: GameInstance,
     w: np.ndarray,
     s: np.ndarray,
-    i: int,
+    idx,
     grid_points: int = 201,
-) -> tuple[float, float]:
-    """(argmax, max) of agent i's utility over its contribution interval."""
+) -> tuple:
+    """(argmax, max) of agent idx's utility over its contribution interval,
+    others fixed; for an array of agent ids, the arrays of both.
+
+    Each agent's grid is scanned in one oracle call.  The golden-section
+    refine then runs every agent in lockstep, in blocks of at most
+    grid_points agents: each step evaluates the one new point of every
+    agent still wider than GOLDEN_XTOL in one call, and ties resolve toward
+    the left endpoint.  A point whose accuracy cannot be evaluated scores
+    -inf; the first NaN raises NumericError, for the first agent in idx that
+    meets one, at its first NaN in the order scan, refine, final point.
+    """
     if grid_points < 3:
         raise ConfigError("grid_points must be >= 3")
     w = np.asarray(w, dtype=float)
     s = np.asarray(s, dtype=float)
-    hi = g.agents[i].s_max
+    ids = np.atleast_1d(np.asarray(idx, dtype=np.intp))
+    x = np.empty(len(ids))
+    v = np.empty(len(ids))
+    for lo in range(0, len(ids), grid_points):
+        block = slice(lo, lo + grid_points)
+        x[block], v[block] = _best_responses(g, w, s, ids[block], grid_points)
+    if np.ndim(idx) == 0:
+        return float(x[0]), float(v[0])
+    return x, v
 
-    def f(x: float) -> float:
-        return _own_utility(g, i, w, s, x)
 
-    xs = np.linspace(0.0, hi, grid_points)
-    vals = _scan(g, i, w, s, xs)
-    best = int(np.argmax(vals))  # first maximum: ties keep the smaller contribution
-    lo_b = xs[max(best - 1, 0)]
-    hi_b = xs[min(best + 1, grid_points - 1)]
-    x_ref, v_ref = _golden_max(f, float(lo_b), float(hi_b), GOLDEN_XTOL)
-    if v_ref > vals[best]:
-        return x_ref, v_ref
-    return float(xs[best]), vals[best]
+def _best_responses(
+    g: GameInstance, w: np.ndarray, s: np.ndarray, ids: np.ndarray, grid_points: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """best_response for one block of agents; an agent that meets a NaN
+    leaves the lockstep, and the first one's error is raised at the end."""
+    k = len(ids)
+    errors: dict[int, NumericError] = {}  # block row -> its agent's first NaN
+    x_grid = np.zeros(k)
+    v_grid = np.zeros(k)
+    a = np.zeros(k)
+    b = np.zeros(k)
+    for r, i in enumerate(ids.tolist()):
+        xs = np.linspace(0.0, g.agents[i].s_max, grid_points)
+        try:
+            vals = _scan(g, i, w, s, xs)
+        except NumericError as err:
+            errors[r] = err
+            continue
+        best = int(np.argmax(vals))  # first maximum: ties keep the smaller contribution
+        x_grid[r], v_grid[r] = xs[best], vals[best]
+        a[r], b[r] = xs[max(best - 1, 0)], xs[min(best + 1, grid_points - 1)]
+    alive = np.ones(k, dtype=bool)
+    alive[list(errors)] = False
+
+    def score(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The utility of each block row in rows at its own contribution x."""
+        if len(rows) == 0:
+            return np.empty(0)
+        u = _utilities_at(g, ids[rows], w, s, x)
+        for p in np.flatnonzero(np.isnan(u)).tolist():
+            r = int(rows[p])
+            errors[r] = NumericError(f"utility is NaN for agent {ids[r]} at s_i={float(x[p])}")
+            alive[r] = False
+        return u
+
+    # The refine runs on the rows in the lockstep, which are dropped as they
+    # finish or fail; x_mid takes each row's midpoint as it leaves.
+    rows = np.flatnonzero(alive)
+    a, b = a[rows], b[rows]
+    c = b - INVPHI * (b - a)
+    d = a + INVPHI * (b - a)
+    fc = score(rows, c)
+    fd = np.full(len(rows), np.nan)
+    on = alive[rows]
+    fd[on] = score(rows[on], d[on])
+    x_mid = np.zeros(k)
+    while True:
+        on = alive[rows] & (b - a > GOLDEN_XTOL)
+        if not on.all():
+            x_mid[rows] = 0.5 * (a + b)
+            rows, a, b, c, d, fc, fd = rows[on], a[on], b[on], c[on], d[on], fc[on], fd[on]
+        if len(rows) == 0:
+            break
+        # ties keep the left part, [a, d]; otherwise [c, b]
+        left = fc >= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        step = INVPHI * (b - a)
+        x = np.where(left, b - step, a + step)
+        fx = score(rows, x)
+        c, d = np.where(left, x, kept), np.where(left, kept, x)
+        fc, fd = np.where(left, fx, f_kept), np.where(left, f_kept, fx)
+    rows = np.flatnonzero(alive)
+    v_mid = np.full(k, -inf)
+    v_mid[rows] = score(rows, x_mid[rows])
+    if errors:
+        raise errors[min(errors)]
+    better = v_mid > v_grid
+    return np.where(better, x_mid, x_grid), np.where(better, v_mid, v_grid)
 
 
 def _scan(g: GameInstance, i: int, w: np.ndarray, s: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """_own_utility at every contribution in xs, from one batched oracle call."""
+    """Agent i's utility at every contribution in xs, others fixed, from one
+    batched oracle call."""
     trials = s[None, :].repeat(len(xs), axis=0)
     trials[:, i] = xs
     return _own_utilities(g, i, w, trials)
+
+
+def _utilities_at(g: GameInstance, ids: np.ndarray, w: np.ndarray, s: np.ndarray, x) -> np.ndarray:
+    """Utility of agent ids[r] at s with its own contribution set to x[r],
+    for every r, from one batched oracle call: a row whose accuracy cannot
+    be evaluated scores -inf, and a NaN is returned as it is."""
+    S = s[None, :].repeat(len(ids), axis=0)
+    S[np.arange(len(ids)), ids] = x
+    return utilities_given(g, ids, S, _accuracies(g, ids, w, S)[0])
 
 
 def _accuracies(
@@ -136,8 +186,8 @@ def _accuracies(
 
 
 def _own_utilities(g: GameInstance, i: int, w: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """_own_utility of agent i at every profile row of S: a row whose
-    accuracy cannot be evaluated scores -inf, and the first NaN raises."""
+    """Agent i's utility at every profile row of S: a row whose accuracy
+    cannot be evaluated scores -inf, and the first NaN raises."""
     idx = np.full(len(S), i)
     u = utilities_given(g, idx, S, _accuracies(g, idx, w, S)[0])
     nan = np.isnan(u)
@@ -192,20 +242,27 @@ def certify_nash(
             raise ConfigError(f"{name} must be finite")
     if np.any(s < -BOUND_TOL) or np.any(s > g.s_max + BOUND_TOL):
         raise ConfigError("profile lies outside the contribution box")
-    regrets = []
-    brs = []
-    for i in range(g.n):
-        br, u_br = best_response(g, w, s, i, grid_points)
-        u_cur = _own_utility(g, i, w, s, float(s[i]))
-        regrets.append(u_br - u_cur)
-        brs.append(br)
+    # every current utility from one call; a -inf one leaves no regret to measure
+    u_cur = _utilities_at(g, g.ids, w, s, s)
+    singular = np.flatnonzero(u_cur == -inf)
+    if len(singular):
+        raise ConfigError(
+            f"agent {singular[0]}'s utility at this profile is -inf, so its regret is undefined"
+        )
+    # errors keep the agent-by-agent order: agent i's best response, then its current utility
+    nan = np.flatnonzero(np.isnan(u_cur))
+    upto = nan[0] + 1 if len(nan) else g.n
+    brs, u_br = best_response(g, w, s, g.ids[:upto], grid_points)
+    if len(nan):
+        raise NumericError(f"utility is NaN for agent {nan[0]} at s_i={float(s[nan[0]])}")
+    regrets = (u_br - u_cur).tolist()
     worst = int(np.argmax(regrets))
     verdict = "Certified" if all(r <= eps for r in regrets) else "Refuted"
     return EquilibriumCertificate(
         verdict=verdict,
         eps=eps,
         regrets=tuple(regrets),
-        best_responses=tuple(brs),
+        best_responses=tuple(brs.tolist()),
         worst_agent=worst,
         worst_gain=float(regrets[worst]),
     )

@@ -1,10 +1,11 @@
 """Shared fixtures: the two-agent running example, a five-agent quadratic
 instance, and a separable game with hand-computable curvature constants.
 
-Also the references that only tests need: the closed-form curvature of the
-quadratic family, the canonical scenario text that parse_scenario must read
-back exactly, and a full federated run with every agent on a thread, joined
-to the center by a socketpair."""
+Also the references that only tests need: one agent's utility and a
+scalar golden-section search, the closed-form curvature of the quadratic
+family, the canonical scenario text that parse_scenario must read back
+exactly, and a full federated run with every agent on a thread, joined to
+the center by a socketpair."""
 
 import configparser
 import io
@@ -12,6 +13,7 @@ import os
 import socket
 import threading
 from dataclasses import dataclass
+from math import inf, isnan, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,14 @@ import pytest
 
 from fedgame.analysis import Matrices
 from fedgame.config import _FIELDS, ScenarioConfig, _applies
-from fedgame.core import AgentSpec, GameInstance, ModelEvalError, PaymentRule
+from fedgame.core import (
+    AgentSpec,
+    GameInstance,
+    ModelEvalError,
+    NumericError,
+    PaymentRule,
+    payment,
+)
 from fedgame.dynamics import RunConfig
 from fedgame.federation import DEFAULT_TIMEOUT, SocketChannel, run_agent, serve_center
 from fedgame.models import CostModel, QuadraticAccuracy
@@ -169,6 +178,49 @@ def separable_game(n=3, m=2, q=1.0, alpha=1.0, cost_coeff=0.1):
 @pytest.fixture
 def known_constants_game():
     return separable_game()
+
+
+# ---------------------------------------------------------------------------
+# One agent's utility, one point at a time: the scalar reference for the
+# batched best-response scan and refine.
+
+
+def _own_utility(g: GameInstance, i: int, w: np.ndarray, s: np.ndarray, x: float) -> float:
+    """Agent i's utility at contribution x, others fixed.
+
+    A singular accuracy denominator is scored -inf (the correct limit for a
+    maximizer to avoid); any NaN propagates as an error.
+    """
+    trial = np.array(s, dtype=float)
+    trial[i] = x
+    try:
+        a = g.accuracy.value(i, w, trial)
+    except ModelEvalError:
+        return -inf
+    u = a - g.cost.value(i, x) + payment(g.payment, trial, i)
+    if isnan(u):
+        raise NumericError(f"utility is NaN for agent {i} at s_i={x}")
+    return u
+
+
+def _golden_max(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
+    """Golden-section maximization; ties resolve toward the left endpoint."""
+    invphi = (sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xtol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,12 @@ def test_certify_validates_inputs(example_game):
         certify_nash(example_game, np.zeros(2), np.zeros(2), float("inf"))
 
 
+def test_certify_rejects_a_profile_whose_utility_is_minus_inf(example_game):
+    # sigma0 = 0 and nobody contributes: no accuracy can be evaluated there
+    with pytest.raises(ConfigError, match="^agent 0's utility at this profile is -inf"):
+        certify_nash(example_game, np.array([0.5, 1.5]), np.zeros(2), 1e-6)
+
+
 def test_certificate_as_dict_round_trips(example_game):
     cert = certify_nash(example_game, np.array([0.5, 1.5]), np.array([0.0, 5.0]), 1e-6)
     doc = cert.as_dict()

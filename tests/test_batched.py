@@ -1,9 +1,9 @@
 """The batched accuracy oracle and its three hot callers.
 
-evaluate, the pool step and the best-response scan each agree bit for bit
-with their per-agent forms, evaluate at one shared profile row with that
-row repeated, and evaluate of a subset of rows with those rows of the full
-call; a round makes a fixed number of oracle calls and one
+evaluate, the pool step and the best-response scan and refine each agree
+bit for bit with their per-agent forms, evaluate at one shared profile row
+with that row repeated, and evaluate of a subset of rows with those rows of
+the full call; a round makes a fixed number of oracle calls and one
 strategy-derivative call, and the pool step reuses the round record's
 rows, re-evaluating at the updated profile only the agents that moved; a
 remote agent evaluates only its own row; the empirical step's gradients
@@ -13,6 +13,7 @@ else from its own one fused test-set pass.
 
 import threading
 from collections import Counter
+from math import ceil, inf, log, nan, sqrt
 
 import numpy as np
 import pytest
@@ -21,12 +22,14 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from fedgame import core, dynamics, models
-from fedgame.analysis import GOLDEN_XTOL, _golden_max, _own_utility, _scan, best_response
+from fedgame.analysis import GOLDEN_XTOL, _scan, best_response, certify_nash
 from fedgame.core import (
     VECTOR_ROWS,
     AgentSpec,
+    ConfigError,
     GameInstance,
     ModelEvalError,
+    NumericError,
     PaymentRule,
     evaluate_profile,
     strategy_derivatives,
@@ -41,7 +44,14 @@ from fedgame.models import (
     synth_dataset,
 )
 
-from conftest import SeparableAccuracy, quadratic_game, run_inprocess_federation
+from conftest import (
+    SeparableAccuracy,
+    _golden_max,
+    _own_utility,
+    quadratic_game,
+    run_inprocess_federation,
+    separable_game,
+)
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -534,6 +544,95 @@ def test_batched_best_response_matches_scalar_scan(seed, grid_points):
     assert same(x_b, x_s) and same(v_b, v_s)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, grid_points=st.sampled_from([3, 17, 201]))
+def test_lockstep_certificate_matches_scalar_reference(seed, grid_points):
+    """Every agent refined in lockstep (in blocks of grid_points agents)
+    gives the best responses of its own scalar search, and certify_nash the
+    regrets against one _own_utility call per agent; a -inf current utility
+    is rejected, naming the first agent that has one."""
+    rng = np.random.default_rng(seed)
+    game, s = scan_game(rng)
+    w = rng.normal(size=game.m)
+    ref = [scalar_best_response(game, w, s, i, grid_points) for i in range(game.n)]
+    x, v = best_response(game, w, s, game.ids, grid_points)
+    assert same(x, [r[0] for r in ref]) and same(v, [r[1] for r in ref])
+    per_id = [best_response(game, w, s, i, grid_points) for i in range(game.n)]
+    assert same(x, [p[0] for p in per_id]) and same(v, [p[1] for p in per_id])
+    current = [_own_utility(game, i, w, s, float(s[i])) for i in range(game.n)]
+    if -inf in current:
+        with pytest.raises(ConfigError, match=f"^agent {current.index(-inf)}'s utility"):
+            certify_nash(game, w, s, 1e-6, grid_points)
+        return
+    cert = certify_nash(game, w, s, 1e-6, grid_points)
+    assert same(cert.best_responses, [r[0] for r in ref])
+    assert same(cert.regrets, [r[1] - u for r, u in zip(ref, current)])
+
+
+class NaNWhere:
+    """An accuracy model that reads NaN wherever bad(i, s_i) holds, and
+    the wrapped model's accuracy elsewhere."""
+
+    def __init__(self, inner, bad):
+        self.inner, self.bad = inner, bad
+        self.n_agents, self.dim = inner.n_agents, inner.dim
+
+    def evaluate(self, idx, w, S):
+        values, *rest = self.inner.evaluate(idx, w, S)
+        S = np.broadcast_to(S, (len(idx), np.shape(S)[-1]))
+        hit = [self.bad(i, float(s[i])) for i, s in zip(np.asarray(idx).tolist(), S)]
+        return (np.where(hit, nan, values), *rest)
+
+    def value(self, i, w, s):
+        return nan if self.bad(i, float(s[i])) else self.inner.value(i, w, s)
+
+
+def scalar_certify(game, w, s):
+    """certify_nash's checks in the agent-by-agent order: agent i's best
+    response, then its current utility."""
+    for i in range(game.n):
+        scalar_best_response(game, w, s, i)
+        _own_utility(game, i, w, s, float(s[i]))
+
+
+GRID = np.linspace(0.0, 2.0, 201)  # separable_game's grid: s_max = 2, 201 points
+
+
+@pytest.mark.parametrize("s0, bad0, first", [
+    pytest.param(
+        1.0, lambda x: abs(x - 0.5) < 1e-6 and x not in GRID,
+        "utility is NaN for agent 0 at s_i=0.49999", id="refine",
+    ),
+    pytest.param(
+        1.005, lambda x: x == 1.005, "utility is NaN for agent 0 at s_i=1.005", id="current",
+    ),
+])
+def test_the_lowest_failing_agent_raises_first(s0, bad0, first):
+    """Agent 1 meets a NaN in its scan, at s_max, before agent 0 meets one
+    late in its refine (near its optimum 0.5 but off the grid) or at its
+    current contribution (1.005, off the grid): the lockstep raises agent
+    0's error, as the agent-by-agent search does."""
+    base = separable_game(n=2)
+
+    def bad(i, x):
+        return bad0(x) if i == 0 else x == 2.0
+
+    game = GameInstance(base.agents, NaNWhere(base.accuracy, bad), base.cost, base.payment, base.m)
+    w, s = np.zeros(game.m), np.array([s0, 1.0])
+    with pytest.raises(NumericError, match="^utility is NaN for agent 1 at s_i=2.0$"):
+        best_response(game, w, s, 1)
+    with pytest.raises(NumericError) as reference:
+        scalar_certify(game, w, s)
+    assert str(reference.value).startswith(first)
+    with pytest.raises(NumericError) as certify:
+        certify_nash(game, w, s, 1e-6)
+    assert str(certify.value) == str(reference.value)
+    if s0 == 1.0:
+        with pytest.raises(NumericError) as lockstep:
+            best_response(game, w, s, game.ids)
+        assert str(lockstep.value) == str(reference.value)
+
+
 # ---------------------------------------------------------------------------
 # Oracle calls per round: the record's one evaluate, which the step reuses,
 # plus one at the updated profile when single rounds take the gradient there.
@@ -598,6 +697,24 @@ def test_oracle_calls_per_round_do_not_grow_with_n(
         stepped = sorted({rec.t for rec in trace.records} - {trace.final.t})
         step_calls = Counter(t for _, t in oracle_calls if t is not None)
         assert sorted(step_calls.elements()) == stepped * (per_round - 1)
+
+
+def test_certify_makes_one_oracle_call_per_refine_step(oracle_calls):
+    """n scans, the two starting points, one call per golden-section step,
+    the final midpoints and the current utilities: the refine's calls do
+    not grow with n, and no call is a one-agent value."""
+    n = 50
+    g = quadratic_game(
+        n=n, m=3, theta=(0.8, -0.4, 0.3), sigma0=1.0, s_max=np.linspace(1.0, 2.0, n),
+        cost_coeffs=np.linspace(0.02, 0.1, n), payment=PaymentRule.linear(0.12),
+    )
+    rng = np.random.default_rng(0)
+    certify_nash(g, rng.normal(size=3), rng.uniform(0.0, 1.0, n), 1e-6)
+    h = float(g.s_max.max()) / 200
+    steps = ceil(log(2.0 * h / GOLDEN_XTOL) / log((1.0 + sqrt(5.0)) / 2.0))
+    names = Counter(name for name, _ in oracle_calls)
+    assert set(names) == {"evaluate"}
+    assert n + 4 <= names["evaluate"] <= n + 4 + steps
 
 
 @pytest.mark.parametrize("algorithm", ["upbred", "2p-upbred", "fedavg-strategic", "fedavg"])

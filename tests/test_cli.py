@@ -162,7 +162,9 @@ def test_certify_argument_validation(tmp_path, capsys):
     ("example1-upbred", ("--w", "inf,1.5", "--s", "0,5"), "w must be finite"),
     ("example1-upbred", ("--w", "0.5,1.5", "--s", "nan,5"), "s must be finite"),
     ("quad5", ("--trace", "example1-upbred.csv"), "w must have shape (3,), got (2,)"),
-], ids=["w-inf", "s-nan", "trace-of-another-instance"])
+    ("example1-upbred", ("--w", "0.5,1.5", "--s", "0,0"),
+     "agent 0's utility at this profile is -inf, so its regret is undefined"),
+], ids=["w-inf", "s-nan", "trace-of-another-instance", "singular-profile"])
 def test_certify_rejects_a_profile_it_cannot_score(tmp_path, capsys, config, profile, message):
     if "--trace" in profile:
         assert run_cli("run", "--config", "example1-upbred", "--out", str(tmp_path)) == 0

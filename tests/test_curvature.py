@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedgame.analysis import FD_STEP, _own_utility, assumption_samples, estimate_matrices
+from fedgame.analysis import FD_STEP, assumption_samples, estimate_matrices
 from fedgame.config import build_scenario, parse_scenario
 from fedgame.core import (
     AgentSpec,
@@ -32,7 +32,7 @@ from fedgame.core import (
 from fedgame.models import CostModel, QuadraticAccuracy
 from fedgame.scenarios import builtin_text
 
-from conftest import separable_game, src_env
+from conftest import _own_utility, separable_game, src_env
 
 SEEDS = st.integers(0, 2**32 - 1)
 
