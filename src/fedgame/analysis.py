@@ -6,11 +6,17 @@ refinement of its own utility, so a certificate does not inherit assumptions
 from the dynamics under test.  Each agent's scan is one batched oracle call;
 the refine runs all agents in lockstep, one batched oracle call per
 golden-section step, and every value has the bits of its one-agent form.
+
+The curvature constants are measured at unscrambled Sobol points, which
+_sobol builds with numpy from the Joe-Kuo direction-number table that scipy
+ships; scipy.stats itself is never imported.
 """
 
 from __future__ import annotations
 
-import warnings
+import functools
+import importlib.util
+import os
 from dataclasses import dataclass
 from math import inf, isfinite, sqrt
 
@@ -38,6 +44,8 @@ FD_STEP = 1e-4
 # compute_w_opt stops once the welfare gradient norm falls below this
 W_OPT_TOL = 1e-6
 W_OPT_MAX_ITERS = 10000
+# _sobol's points are k / 2**SOBOL_BITS, as scipy.stats.qmc.Sobol's by default
+SOBOL_BITS = 30
 
 
 def best_response(
@@ -53,10 +61,11 @@ def best_response(
     Each agent's grid is scanned in one oracle call.  The golden-section
     refine then runs every agent in lockstep, in blocks of at most
     grid_points agents: each step evaluates the one new point of every
-    agent still wider than GOLDEN_XTOL in one call, and ties resolve toward
-    the left endpoint.  A point whose accuracy cannot be evaluated scores
-    -inf; the first NaN raises NumericError, for the first agent in idx that
-    meets one, at its first NaN in the order scan, refine, final point.
+    agent still wider than GOLDEN_XTOL, and narrower than a step before, in
+    one call, and ties resolve toward the left endpoint.  A point whose
+    accuracy cannot be evaluated scores -inf; the first NaN raises
+    NumericError, for the first agent in idx that meets one, at its first
+    NaN in the order scan, refine, final point.
     """
     if grid_points < 3:
         raise ConfigError("grid_points must be >= 3")
@@ -109,7 +118,9 @@ def _best_responses(
         return u
 
     # The refine runs on the rows in the lockstep, which are dropped as they
-    # finish or fail; x_mid takes each row's midpoint as it leaves.
+    # finish or fail; x_mid takes each row's midpoint as it leaves.  A row
+    # whose interval did not shrink in a step also leaves: where one ulp of
+    # s_i exceeds GOLDEN_XTOL, the interval can stop shrinking above it.
     rows = np.flatnonzero(alive)
     a, b = a[rows], b[rows]
     c = b - INVPHI * (b - a)
@@ -119,13 +130,17 @@ def _best_responses(
     on = alive[rows]
     fd[on] = score(rows[on], d[on])
     x_mid = np.zeros(k)
+    width = np.full(len(rows), inf)
     while True:
-        on = alive[rows] & (b - a > GOLDEN_XTOL)
+        span = b - a
+        on = alive[rows] & (span > GOLDEN_XTOL) & (span < width)
         if not on.all():
             x_mid[rows] = 0.5 * (a + b)
             rows, a, b, c, d, fc, fd = rows[on], a[on], b[on], c[on], d[on], fc[on], fd[on]
+            span = span[on]
         if len(rows) == 0:
             break
+        width = span
         # ties keep the left part, [a, d]; otherwise [c, b]
         left = fc >= fd
         a, b = np.where(left, a, c), np.where(left, d, b)
@@ -423,17 +438,62 @@ def assumption_samples(
         raise ConfigError("sample count must be >= 1")
     if not (isfinite(w_radius) and w_radius >= 0.0):
         raise ConfigError("w_radius must be finite and >= 0")
-    # scipy.stats takes about 1 s and 65 MB to import: load it only here
-    from scipy.stats import qmc
-
     n = g.n
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        pts = qmc.Sobol(d=n + g.m, scramble=False).random(count)
+    pts = _sobol(n + g.m, count)
     lo, hi = INTERIOR_MARGIN * g.s_max, (1.0 - INTERIOR_MARGIN) * g.s_max
     S = lo + pts[:, :n] * (hi - lo)
     W = 0.0 + (2.0 * pts[:, n:] - 1.0) * w_radius  # 0.0 +: no -0.0 at w_radius 0
     return list(zip(W, S))
+
+
+@functools.cache
+def _sobol_table() -> tuple[np.ndarray, np.ndarray]:
+    """scipy's Joe-Kuo direction-number table (poly, vinit), read from its
+    data file without importing scipy.stats, once per process."""
+    path = os.path.join("scipy", "stats", "_sobol_direction_numbers.npz")
+    spec = importlib.util.find_spec("scipy")
+    if spec is not None and spec.origin:
+        path = os.path.join(os.path.dirname(os.path.dirname(spec.origin)), path)
+    if not os.path.isfile(path):
+        raise ConfigError(f"Sobol direction-number table not found: {path}")
+    with np.load(path) as table:
+        poly, vinit = table["poly"], table["vinit"]
+    poly.flags.writeable = vinit.flags.writeable = False  # shared by every call
+    return poly, vinit
+
+
+def _sobol(d: int, count: int) -> np.ndarray:
+    """The first count points of the d-dimensional unscrambled Sobol
+    sequence, bit for bit those of scipy.stats.qmc.Sobol(d, scramble=False).
+
+    Each dimension's direction numbers past its table entries follow the
+    Bratley-Fox recurrence of its primitive polynomial, built for all
+    dimensions of one degree at once; point i is the XOR of the direction
+    numbers picked by the Gray code of i, so point 0 is the origin.
+    """
+    if count > 2**SOBOL_BITS:
+        raise ConfigError(f"at most 2**{SOBOL_BITS} Sobol points can be drawn, got {count}")
+    poly, vinit = _sobol_table()
+    if d > len(poly):
+        raise ConfigError(f"Sobol points have at most {len(poly)} dimensions, got {d}")
+    poly, vinit = poly[:d], vinit[:d]
+    degree = np.frexp(poly)[1] - 1  # of each primitive polynomial
+    v = np.ones((d, SOBOL_BITS), dtype=np.int64)  # row 0 (poly 1) is all ones
+    for m in range(1, int(degree.max()) + 1):
+        rows = np.flatnonzero(degree == m)
+        v[rows, :m] = vinit[rows, :m]
+        k = np.arange(m)
+        coef = ((poly[rows, None] >> (m - 1 - k)) & 1) << (k + 1)  # a_k 2^(k+1)
+        for j in range(m, SOBOL_BITS):
+            terms = v[rows[:, None], j - 1 - k] * coef
+            v[rows, j] = v[rows, j - m] ^ np.bitwise_xor.reduce(terms, axis=1)
+    v <<= np.arange(SOBOL_BITS - 1, -1, -1)  # direction number j: v_j / 2**(j + 1)
+    i = np.arange(count)
+    gray = i ^ (i >> 1)
+    x = np.zeros((count, d), dtype=np.int64)
+    for b in range(int(count - 1).bit_length()):
+        x ^= ((gray >> b) & 1)[:, None] * v[:, b]
+    return x * 2.0**-SOBOL_BITS
 
 
 @dataclass(frozen=True)

@@ -108,11 +108,13 @@ def _write_outputs(trace, built: BuiltScenario, out: str, stem: str, config_text
 
 
 def _summary_line(trace) -> str:
-    final = trace.final
-    msg = (
-        f"outcome={trace.outcome} rounds={final.t} "
-        f"welfare={final.welfare!r} g_norm={final.g_norm!r} gt_norm={final.gt_norm!r}"
-    )
+    msg = f"outcome={trace.outcome}"
+    if trace.records:
+        final = trace.final
+        msg += (
+            f" rounds={final.t} "
+            f"welfare={final.welfare!r} g_norm={final.g_norm!r} gt_norm={final.gt_norm!r}"
+        )
     if trace.error:
         msg += f" error={trace.error!r}"
     return msg
@@ -150,7 +152,8 @@ def cmd_run(args) -> int:
     else:
         trace = run_dynamic(built.game, built.run, built.algorithm, built.w0, built.s0)
     out = _out_dir(args, built)
-    paths = _write_outputs(trace, built, out, stem, text)
+    # a run that fails before its first round record has no trace to write
+    paths = _write_outputs(trace, built, out, stem, text) if trace.records else []
     print(_summary_line(trace))
     for p in paths:
         print(f"wrote {p}")
@@ -208,10 +211,11 @@ def cmd_sweep(args) -> int:
                     built.w0, built.s0, strict=False,
                 )
                 outcome = trace.outcome
-                final = trace.final
-                welfare = repr(final.welfare)
-                total_s = repr(float(np.sum(final.s)))
-                rounds = str(final.t)
+                if trace.records:
+                    final = trace.final
+                    welfare = repr(final.welfare)
+                    total_s = repr(float(np.sum(final.s)))
+                    rounds = str(final.t)
                 if trace.error:
                     error = trace.error
             except GameError as exc:

@@ -62,6 +62,10 @@ class AccuracyModel(Protocol):
     def manifest(self) -> dict: ...
 
 
+# Python's float ** 2 raises OverflowError where numpy would give inf
+_SLOPE_OVERFLOW = "slope overflows: (sigma0 + sum(s)) ** 2 is out of float range"
+
+
 @dataclass(frozen=True, eq=False)
 class QuadraticAccuracy:
     """a_i(w, s) = r_i - |w - theta|^2 / (sigma0 + sum(s)).
@@ -104,7 +108,7 @@ class QuadraticAccuracy:
             d = self._denom(S)
             return (
                 self.r[idx] - sq / d,
-                np.array([sq / d ** 2]).repeat(len(idx)),
+                np.array([self._slope(sq, d)]).repeat(len(idx)),
                 (2.0 * (self.theta - w) / d)[None, :].repeat(len(idx), axis=0),
             )
         # row sums along the contiguous axis add in the same order as np.sum
@@ -113,8 +117,11 @@ class QuadraticAccuracy:
         if (denom <= 0.0).any():
             raise ModelEvalError("singular denominator: sigma0 + sum(s) <= 0")
         values = self.r[idx] - sq / denom
-        # Python's d ** 2 (libm pow) is not always d * d; keep its bits
-        dsi = np.array([sq / d ** 2 for d in denom.tolist()])
+        try:
+            # Python's d ** 2 (libm pow) is not always d * d; keep its bits
+            dsi = np.array([sq / d ** 2 for d in denom.tolist()])
+        except OverflowError:
+            raise ModelEvalError(_SLOPE_OVERFLOW) from None
         grads = (2.0 * (self.theta - w)) / denom[:, None]
         return values, dsi, grads
 
@@ -138,7 +145,14 @@ class QuadraticAccuracy:
         return 2.0 * (self.theta - np.asarray(w, dtype=float)) / self._denom(s)
 
     def dsi(self, i: int, w: np.ndarray, s: np.ndarray) -> float:
-        return self._sq_dist(w) / self._denom(s) ** 2
+        return self._slope(self._sq_dist(w), self._denom(s))
+
+    @staticmethod
+    def _slope(sq: float, d: float) -> float:
+        try:
+            return sq / d ** 2
+        except OverflowError:
+            raise ModelEvalError(_SLOPE_OVERFLOW) from None
 
     def manifest(self) -> dict:
         return {

@@ -1,5 +1,10 @@
 """Best responses, certification, curvature estimation, step regions."""
 
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,7 +20,7 @@ from fedgame.analysis import (
 )
 from fedgame.core import ConfigError
 
-from conftest import quadratic_game, quadratic_matrices, separable_game
+from conftest import quadratic_game, quadratic_matrices, separable_game, src_env
 
 
 def test_best_response_flat_utility_prefers_smallest(example_game):
@@ -40,6 +45,31 @@ def test_best_response_handles_singular_left_edge():
     x, v = best_response(g, np.array([1.0]), np.array([0.0, 0.0]), 1)
     assert x == 5.0
     assert np.isfinite(v)
+
+
+@pytest.mark.parametrize("s_max", [1e8, 1e9, 1e15])
+def test_best_response_ends_where_one_ulp_exceeds_the_tolerance(s_max):
+    # free contributions put both maxima at the top of the range, where one
+    # ulp of s_i is above GOLDEN_XTOL; a child process turns a hang into a
+    # failure
+    code = f"""
+import sys
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+import numpy as np
+from conftest import quadratic_game
+from fedgame.analysis import best_response
+g = quadratic_game(2, 2, (1.0, 2.0), 0.0, {s_max!r}, (0.0, 0.0))
+x, v = best_response(g, np.array([0.5, 1.5]), np.array([1.0, 1.0]), np.array([0, 1]))
+print(x.tolist())
+print(v.tolist())
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True,
+        check=True, timeout=30,
+    )
+    xs, vs = (json.loads(line) for line in out.stdout.splitlines())
+    assert all(0.0 <= x <= s_max for x in xs)
+    assert vs == pytest.approx([1.0, 1.0], abs=1e-7)
 
 
 def test_best_response_rejects_tiny_grid(example_game):

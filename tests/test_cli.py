@@ -106,6 +106,42 @@ def test_serve_and_agent_require_endpoints(capsys):
     capsys.readouterr()
 
 
+# at s_max = 1e300, (sigma0 + sum(s)) ** 2 is beyond the float range
+HUGE_S_MAX = ("--set", "instance.s_max=1e300")
+SLOPE_OVERFLOW = "round 0: slope overflows: (sigma0 + sum(s)) ** 2 is out of float range"
+
+
+def test_run_whose_slope_overflows_ends_in_an_error_outcome(tmp_path, capsys):
+    code = run_cli("run", "--config", "quad5", *HUGE_S_MAX, "--out", str(tmp_path))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == f"outcome=Error error={SLOPE_OVERFLOW!r}\n"
+    assert list(tmp_path.iterdir()) == []  # no round was recorded, so nothing is written
+
+
+def test_sweep_records_a_run_that_fails_before_its_first_round(tmp_path, capsys):
+    code = run_cli(
+        "sweep", "--config", "quad5", "--axis", "beta", "--values", "0.12",
+        "--replicates", "1", *HUGE_S_MAX, "--out", str(tmp_path),
+    )
+    capsys.readouterr()
+    assert code == 0
+    header, row = (tmp_path / "quad5.sweep.csv").read_text().splitlines()
+    fields = row.split(",")
+    assert fields[:7] == ["beta", "0.12", "0", "Error", "", "", ""]
+    assert fields[8] == SLOPE_OVERFLOW
+
+
+def test_certify_scores_a_slope_overflow_row_by_row(capsys):
+    code = run_cli(
+        "certify", "--config", "quad5", *HUGE_S_MAX, "--w", "0,0,0", "--s", "1,1,1,1,1",
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == ""
+    assert json.loads(captured.out)["verdict"] == "Refuted"
+
+
 def test_certify_explicit_profile_certified(tmp_path, capsys):
     code = run_cli(
         "certify", "--config", "example1-upbred",

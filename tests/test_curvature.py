@@ -6,12 +6,19 @@ evaluate per agent and w-variant for H and H~.  The reference below is the
 per-point form it replaced, one scalar oracle call per stencil point in the
 order the four blocks read them.  Both must give the same bytes, raise the
 same error with the same text, and the batched form must stay within its
-call count and profile size.  The package must also import without scipy's
-Sobol sampler, which only assumption_samples loads.
+call count and profile size.
+
+assumption_samples draws its points from _sobol, which builds scipy's
+unscrambled Sobol sequence with numpy from the direction-number table scipy
+ships; it must match scipy.stats.qmc.Sobol byte for byte, and neither
+importing the package nor running `fedgame bounds` may load scipy.stats.
 """
 
+import importlib.machinery
+import importlib.util
 import subprocess
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -19,7 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedgame.analysis import FD_STEP, assumption_samples, estimate_matrices
+from fedgame import analysis
+from fedgame.analysis import FD_STEP, _sobol, assumption_samples, estimate_matrices
 from fedgame.config import build_scenario, parse_scenario
 from fedgame.core import (
     AgentSpec,
@@ -311,12 +319,61 @@ def test_unrigged_game_estimates_finite_blocks():
 
 
 # ---------------------------------------------------------------------------
-# Loading the package leaves scipy's sampler unloaded.
+# The Sobol points are scipy's, and neither the package nor `bounds` loads
+# scipy.stats.
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, fedgame, fedgame.cli; print('scipy.stats' in sys.modules)"
+@pytest.mark.parametrize("count", [1, 3, 6, 64, 100])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 230, 1111, 21201])
+def test_sobol_matches_scipy_bit_for_bit(d, count):
+    from scipy.stats import qmc
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # count is not a power of 2
+        ref = qmc.Sobol(d=d, scramble=False).random(count)
+    got = _sobol(d, count)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d, count, message", [
+    (21202, 1, "Sobol points have at most 21201 dimensions, got 21202"),
+    (2, 2**30 + 1, "at most 2**30 Sobol points can be drawn, got 1073741825"),
+], ids=["too-many-dimensions", "too-many-points"])
+def test_sobol_rejects_what_scipy_rejects(d, count, message):
+    with pytest.raises(ConfigError) as got:
+        _sobol(d, count)
+    assert str(got.value) == message
+
+
+def test_sobol_names_a_missing_direction_table(monkeypatch, tmp_path):
+    origin = tmp_path / "scipy" / "__init__.py"
+    find_spec = importlib.util.find_spec
+
+    def fake_find_spec(name, *args):
+        if name == "scipy":
+            return importlib.machinery.ModuleSpec("scipy", None, origin=str(origin))
+        return find_spec(name, *args)
+
+    monkeypatch.setattr(importlib.util, "find_spec", fake_find_spec)
+    analysis._sobol_table.cache_clear()
+    try:
+        with pytest.raises(ConfigError) as got:
+            _sobol(2, 4)
+    finally:
+        analysis._sobol_table.cache_clear()
+    table = tmp_path / "scipy" / "stats" / "_sobol_direction_numbers.npz"
+    assert str(got.value) == f"Sobol direction-number table not found: {table}"
+
+
+@pytest.mark.parametrize("code", [
+    "import sys, fedgame, fedgame.cli",
+    "import sys; from fedgame import cli; cli.main(['bounds', '--config', 'quad5'])",
+], ids=["import", "bounds"])
+def test_import_leaves_scipy_stats_unloaded(tmp_path, code):
+    code += "; print('scipy.stats' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=src_env(), cwd=tmp_path,
+        capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "False"

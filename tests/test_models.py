@@ -50,6 +50,20 @@ def test_quadratic_singular_denominator():
         acc.value(0, np.array([0.0]), np.array([0.0]))
 
 
+def test_quadratic_slope_overflow_is_a_model_error():
+    # Python's float ** 2 raises OverflowError where the square leaves the float range
+    acc = QuadraticAccuracy(theta=np.array([1.0]), r=np.array([1.0, 1.0]), sigma0=1.0)
+    w = np.array([0.0])
+    S = np.array([[1e300, 1.0], [2.0, 3.0]])
+    with pytest.raises(ModelEvalError, match="slope overflows"):
+        acc.dsi(0, w, S[0])
+    with pytest.raises(ModelEvalError, match="slope overflows"):
+        acc.evaluate(np.array([0, 1]), w, S[:1])  # one shared row
+    with pytest.raises(ModelEvalError, match="slope overflows"):
+        acc.evaluate(np.array([0, 1]), w, S)  # one row per agent
+    assert acc.value(0, w, S[0]) == 1.0 - 1.0 / (1.0 + 1e300 + 1.0)
+
+
 def test_quadratic_rejects_negative_sigma0():
     with pytest.raises(ConfigError):
         QuadraticAccuracy(theta=np.array([1.0]), r=np.array([1.0]), sigma0=-1.0)
