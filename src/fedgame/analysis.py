@@ -8,14 +8,15 @@ the refine runs all agents in lockstep, one batched oracle call per
 golden-section step, and every value has the bits of its one-agent form.
 
 The curvature constants are measured at unscrambled Sobol points, which
-_sobol builds with numpy from the Joe-Kuo direction-number table that scipy
-ships; scipy.stats itself is never imported.
+_sobol builds with numpy from the Joe-Kuo direction numbers (Joe and Kuo,
+"Constructing Sobol sequences with better two-dimensional projections", SIAM
+J. Sci. Comput. 30, 2008).  The package ships their first 1111 dimensions in
+sobol_directions.npz, taken from scipy's copy of the table (BSD-3-Clause).
 """
 
 from __future__ import annotations
 
 import functools
-import importlib.util
 import os
 from dataclasses import dataclass
 from math import inf, isfinite, sqrt
@@ -448,15 +449,9 @@ def assumption_samples(
 
 @functools.cache
 def _sobol_table() -> tuple[np.ndarray, np.ndarray]:
-    """scipy's Joe-Kuo direction-number table (poly, vinit), read from its
-    data file without importing scipy.stats, once per process."""
-    path = os.path.join("scipy", "stats", "_sobol_direction_numbers.npz")
-    spec = importlib.util.find_spec("scipy")
-    if spec is not None and spec.origin:
-        path = os.path.join(os.path.dirname(os.path.dirname(spec.origin)), path)
-    if not os.path.isfile(path):
-        raise ConfigError(f"Sobol direction-number table not found: {path}")
-    with np.load(path) as table:
+    """The shipped direction-number table (poly, vinit), read once per
+    process."""
+    with np.load(os.path.join(os.path.dirname(__file__), "sobol_directions.npz")) as table:
         poly, vinit = table["poly"], table["vinit"]
     poly.flags.writeable = vinit.flags.writeable = False  # shared by every call
     return poly, vinit
@@ -601,10 +596,13 @@ def _axis_step_cap(dim: int, L: float, lam: float, coupling: float) -> float:
     terms = [1.0]
     if coupling > 0.0:
         terms.append(1.0 / coupling)
-    d2 = float(dim) ** 2 * L**2
+    try:
+        d2 = float(dim) ** 2 * L**2
+        denom = d2 - coupling**2
+    except OverflowError:
+        raise NumericError("step-size cap overflows for these constants") from None
     if d2 > 0.0:
         terms.append(2.0 * lam / d2)
-    denom = d2 - coupling**2
     if denom != 0.0:
         terms.append((lam - coupling) / denom)
     return min(terms)

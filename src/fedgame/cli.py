@@ -22,6 +22,7 @@ from .config import BuiltScenario, build_scenario, parse_scenario
 from .core import (
     ConfigError,
     GameError,
+    NumericError,
     evaluate_profile,
     strategy_gradient,
     welfare_gradient,
@@ -333,10 +334,13 @@ def cmd_bounds(args) -> int:
     region = analysis.feasible_steps(g.n, g.m, **consts)
     doc["feasible_steps"] = region.as_dict()
 
-    E = float(
-        np.linalg.norm(strategy_gradient(g, built.w0, built.s0))
-        + np.linalg.norm(welfare_gradient(g, built.w0, built.s0))
-    )
+    with np.errstate(over="ignore"):
+        E = float(
+            np.linalg.norm(strategy_gradient(g, built.w0, built.s0))
+            + np.linalg.norm(welfare_gradient(g, built.w0, built.s0))
+        )
+    if not isfinite(E):
+        raise NumericError(f"initial update norm E is not finite ({E!r})")
     doc["E"] = E
     try:
         w1, w2, W = contraction_factor(cfg.gamma, cfg.eta, g.n, g.m, **consts)

@@ -80,7 +80,7 @@ class RunConfig:
     rounds bounds the simultaneous loop (or the training phase of the
     two-phase dynamics); phase1_cap bounds the contribution phase and
     defaults to ten times the predicted phase length when that is
-    computable, 10^5 otherwise.
+    computable, at most 10^5, and to 10^5 otherwise.
     """
 
     gamma: float
@@ -383,6 +383,10 @@ class Phase:
     * Once cap updates are done the stage ends as MaxRounds, or, when
       lagging is set, the run fails with a cap error whose tail is
       lagging(round), naming the agent that kept the stage going.
+    * When lagging is set, a step that leaves every contribution's bits
+      unchanged fails the run at once with the same tail: only s moves in
+      such a stage and its step is deterministic, so the profile is a fixed
+      point that the handover can no longer pass.
 
     The run's outcome is how its last stage ended.
     """
@@ -436,7 +440,7 @@ def _schedule(g: GameInstance, cfg: RunConfig, algorithm: str, s0: np.ndarray) -
     cap = cfg.phase1_cap
     if cap is None:
         kappa = predicted_phase1_rounds(g, cfg, s0)
-        cap = 100_000 if kappa is None else max(10 * kappa, 1)
+        cap = 100_000 if kappa is None else min(max(10 * kappa, 1), 100_000)
     contribution = Phase("1", "1", cap, handover=handover, lagging=lagging)
     return [contribution, training]
 
@@ -477,7 +481,12 @@ def _run_phases(
                     )
                 s_next, grads = pool.step(t, ph.sent, w, s, rnd.rows, rnd.derivatives())
                 if ph.sent != "2":
-                    s = clamp_profile(s_next, g)
+                    s_next = clamp_profile(s_next, g)
+                    if ph.lagging is not None and s_next.tobytes() == s.tobytes():
+                        raise NumericError(
+                            f"contribution phase stalled at a fixed point; {ph.lagging(rnd)}"
+                        )
+                    s = s_next
                 if ph.sent != "1":
                     w = w + cfg.eta * (_left_sum(grads) / g.n)
                 if not (np.all(np.isfinite(w)) and np.all(np.isfinite(s))):
@@ -586,6 +595,8 @@ def contraction_factor(
         raise NumericError("contraction radicand negative for these step sizes")
     w1 = sqrt(a) + P_tilde * gamma
     w2 = sqrt(b) + P * eta
+    if not (isfinite(w1) and isfinite(w2)):  # an infinite or nan radicand included
+        raise NumericError("contraction radicand overflows for these constants")
     return w1, w2, max(w1, w2)
 
 

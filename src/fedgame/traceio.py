@@ -54,16 +54,20 @@ def trace_columns(n: int, m: int) -> list[str]:
     return cols
 
 
+def _records(trace) -> list:
+    if not trace.records:
+        raise ConfigError("cannot serialize an empty trace")
+    return trace.records
+
+
 def trace_csv_text(trace) -> str:
     """Render a trace as CSV, one row per recorded round.  No field needs
     quoting: column names, phase labels and float reprs hold no comma,
     quote or line break, so the fields are joined as they are."""
-    if not trace.records:
-        raise ConfigError("cannot serialize an empty trace")
-    first = trace.records[0]
-    n, m = len(first.s), len(first.w)
+    records = _records(trace)
+    n, m = len(records[0].s), len(records[0].w)
     lines = [",".join(trace_columns(n, m))]
-    for rec in trace.records:
+    for rec in records:
         floats = [*rec.s.tolist(), *rec.w.tolist(), *rec.utilities.tolist(), *rec.payments.tolist()]
         scalars = (rec.welfare, rec.g_norm, rec.gt_norm)
         fields = [str(rec.t), rec.phase, *map(repr, floats), *map(fmt_float, scalars)]
@@ -73,8 +77,9 @@ def trace_csv_text(trace) -> str:
 
 
 def write_trace_csv(trace, path) -> None:
+    text = trace_csv_text(trace)  # before opening: a trace that fails leaves no file
     with open(path, "w", newline="") as fh:
-        fh.write(trace_csv_text(trace))
+        fh.write(text)
 
 
 @dataclass
@@ -128,7 +133,7 @@ def read_trace_csv(path) -> TraceTable:
 
 def run_manifest(trace, config_text: str | None = None, extra: dict | None = None) -> dict:
     """Reproducibility record for one finished run."""
-    final = trace.final
+    final = _records(trace)[-1]
     info = {
         "instance": trace.instance,
         "run": asdict(trace.config),
@@ -153,6 +158,6 @@ def run_manifest(trace, config_text: str | None = None, extra: dict | None = Non
 
 
 def write_run_manifest(trace, path, config_text: str | None = None, extra: dict | None = None) -> None:
+    text = json.dumps(run_manifest(trace, config_text, extra), indent=2, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(run_manifest(trace, config_text, extra), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

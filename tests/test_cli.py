@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,21 @@ def test_run_whose_slope_overflows_ends_in_an_error_outcome(tmp_path, capsys):
     assert code == 2
     assert captured.out == f"outcome=Error error={SLOPE_OVERFLOW!r}\n"
     assert list(tmp_path.iterdir()) == []  # no round was recorded, so nothing is written
+
+
+def test_run_whose_contribution_phase_stalls_ends_at_once(tmp_path):
+    # gamma times every margin is below one ulp of s: phase one never moves,
+    # and its kappa, about 1e301 rounds, no longer sets the cap
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedgame", "run", "--config", "quad5", "--set", "run.gamma=1e-300",
+         "--set", "run.rounds=50", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=src_env(), timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout.startswith("outcome=Error rounds=0 ")
+    assert ("error='round 0: contribution phase stalled at a fixed point; "
+            "agent 2 is not increasing (gap 1.31049)'\n") in proc.stdout
+    assert read_trace_csv(tmp_path / "quad5.csv").rounds == 1
 
 
 def test_sweep_records_a_run_that_fails_before_its_first_round(tmp_path, capsys):
@@ -303,13 +319,47 @@ def test_bounds_rejects_w_radius_beyond_finite_accuracy(capsys):
         )
 
 
-def test_bounds_notes_a_contraction_factor_that_overflows(capsys):
-    # finite accuracy, but curvature so large that L**2 overflows
-    code = run_cli("bounds", "--config", "quad5", "--samples", "2", "--w-radius", "1e100")
-    doc = json.loads(capsys.readouterr().out)
-    assert code == 3
-    assert doc["W"] is None and doc["T0"] is None
-    assert doc["W_note"] == "contraction radicand overflows for these constants"
+def strict_json(text):
+    return json.loads(text, parse_constant=lambda c: pytest.fail(f"not strict JSON: {c}"))
+
+
+def test_bounds_notes_a_contraction_factor_that_overflows(tmp_path, capsys):
+    for args in (
+        ("--samples", "2", "--w-radius", "1e100"),  # finite accuracy, L**2 overflows
+        ("--set", "run.gamma=1e154"),  # gamma**2 is finite, gamma**2 n**2 L**2 is not
+    ):
+        code = run_cli("bounds", "--config", "quad5", *args, "--out", str(tmp_path))
+        doc = strict_json(capsys.readouterr().out)
+        assert code == 3
+        assert doc["W"] is None and doc["T0"] is None
+        assert doc["W_note"] == "contraction radicand overflows for these constants"
+        assert strict_json((tmp_path / "quad5.bounds.json").read_text()) == doc
+
+
+@pytest.mark.parametrize("override", [
+    "instance.beta=1e300", "instance.cost_coeffs=1e154,1e154,1e154,1e154,1e154",
+], ids=["beta", "cost"])
+def test_bounds_with_an_infinite_initial_norm_is_one_error_line(tmp_path, capsys, override):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning included
+        code = run_cli("bounds", "--config", "quad5", "--set", override, "--out", str(tmp_path))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: initial update norm E is not finite (inf)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bounds_whose_step_cap_overflows_is_one_error_line(capsys):
+    code = run_cli(
+        "bounds", "--config", "example1-2p", "--constants", "explicit",
+        "--lam", "1.1", "--lam-tilde", "1.1", "--L", "1e155", "--L-tilde", "1",
+        "--P", "0", "--P-tilde", "1",
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: step-size cap overflows for these constants\n"
 
 
 def test_diagnose_reports_ratios_and_final_table(tmp_path, capsys):

@@ -9,13 +9,13 @@ same error with the same text, and the batched form must stay within its
 call count and profile size.
 
 assumption_samples draws its points from _sobol, which builds scipy's
-unscrambled Sobol sequence with numpy from the direction-number table scipy
-ships; it must match scipy.stats.qmc.Sobol byte for byte, and neither
-importing the package nor running `fedgame bounds` may load scipy.stats.
+unscrambled Sobol sequence with numpy from the first 1111 dimensions of the
+Joe-Kuo direction-number table, shipped with the package.  It must match
+scipy.stats.qmc.Sobol byte for byte over those dimensions and refuse more;
+importing the package and running `fedgame bounds` must not load
+scipy.stats, and the CLI must give the same bytes with scipy not importable.
 """
 
-import importlib.machinery
-import importlib.util
 import subprocess
 import sys
 import warnings
@@ -26,7 +26,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedgame import analysis
 from fedgame.analysis import FD_STEP, _sobol, assumption_samples, estimate_matrices
 from fedgame.config import build_scenario, parse_scenario
 from fedgame.core import (
@@ -38,7 +37,7 @@ from fedgame.core import (
     PaymentRule,
 )
 from fedgame.models import CostModel, QuadraticAccuracy
-from fedgame.scenarios import builtin_text
+from fedgame.scenarios import builtin_names, builtin_text
 
 from conftest import _own_utility, separable_game, src_env
 
@@ -326,6 +325,10 @@ def test_unrigged_game_estimates_finite_blocks():
 @pytest.mark.parametrize("count", [1, 3, 6, 64, 100])
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 230, 1111, 21201])
 def test_sobol_matches_scipy_bit_for_bit(d, count):
+    if d > 1111:  # past the shipped table, where scipy still has rows
+        with pytest.raises(ConfigError, match=f"at most 1111 dimensions, got {d}$"):
+            _sobol(d, count)
+        return
     from scipy.stats import qmc
 
     with warnings.catch_warnings():
@@ -337,33 +340,13 @@ def test_sobol_matches_scipy_bit_for_bit(d, count):
 
 
 @pytest.mark.parametrize("d, count, message", [
-    (21202, 1, "Sobol points have at most 21201 dimensions, got 21202"),
+    (1112, 1, "Sobol points have at most 1111 dimensions, got 1112"),
     (2, 2**30 + 1, "at most 2**30 Sobol points can be drawn, got 1073741825"),
 ], ids=["too-many-dimensions", "too-many-points"])
 def test_sobol_rejects_what_scipy_rejects(d, count, message):
     with pytest.raises(ConfigError) as got:
         _sobol(d, count)
     assert str(got.value) == message
-
-
-def test_sobol_names_a_missing_direction_table(monkeypatch, tmp_path):
-    origin = tmp_path / "scipy" / "__init__.py"
-    find_spec = importlib.util.find_spec
-
-    def fake_find_spec(name, *args):
-        if name == "scipy":
-            return importlib.machinery.ModuleSpec("scipy", None, origin=str(origin))
-        return find_spec(name, *args)
-
-    monkeypatch.setattr(importlib.util, "find_spec", fake_find_spec)
-    analysis._sobol_table.cache_clear()
-    try:
-        with pytest.raises(ConfigError) as got:
-            _sobol(2, 4)
-    finally:
-        analysis._sobol_table.cache_clear()
-    table = tmp_path / "scipy" / "stats" / "_sobol_direction_numbers.npz"
-    assert str(got.value) == f"Sobol direction-number table not found: {table}"
 
 
 @pytest.mark.parametrize("code", [
@@ -377,3 +360,54 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path, code):
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.splitlines()[-1] == "False"
+
+
+# numpy is the package's one runtime dependency: with every scipy import
+# refused, the CLI gives the same bytes on every bundled scenario.
+
+REFUSE_SCIPY = """
+import sys
+from importlib.abc import MetaPathFinder
+
+class RefuseScipy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, RefuseScipy())
+"""
+
+CLI_ON_BUNDLED = """
+import importlib.util, sys
+from fedgame import cli, scenarios
+
+for name in scenarios.builtin_names():
+    for argv in (
+        ["run", "--config", name, "--out", "out"],
+        ["certify", "--config", name, "--trace", f"out/{name}.csv"],
+        ["bounds", "--config", name, "--samples", "8", "--out", "out"],
+    ):
+        print(argv, "exit", cli.main(argv), flush=True)
+try:
+    importlib.util.find_spec("scipy")
+except ModuleNotFoundError:
+    print("scipy refused", file=sys.stderr)
+"""
+
+
+def test_cli_output_does_not_depend_on_scipy(tmp_path):
+    results = {}
+    for label, code in (("open", CLI_ON_BUNDLED), ("refused", REFUSE_SCIPY + CLI_ON_BUNDLED)):
+        cwd = tmp_path / label
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=src_env(), cwd=cwd,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert ("scipy refused" in proc.stderr) == (label == "refused")
+        results[label] = (proc.stdout, {p.name: p.read_bytes() for p in (cwd / "out").iterdir()})
+    out, files = results["refused"]
+    assert out.count("'run'") == out.count("'bounds'") == len(builtin_names()) == 5
+    assert len(files) == 15
+    assert results["refused"] == results["open"]

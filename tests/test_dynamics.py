@@ -15,6 +15,7 @@ from fedgame.dynamics import (
     empirical_strategy_update,
     iteration_bound_T0,
     iteration_bounds_two_phase,
+    _schedule,
     predicted_phase1_rounds,
     run_dynamic,
 )
@@ -208,6 +209,36 @@ def test_two_phase_cap_error_names_laggard():
     assert "cap of 5 rounds" in trace.error
     assert "agent 0" in trace.error  # the faster-shrinking agent lags most
     assert len(trace.records) == 6  # the offending round is still recorded
+
+
+def stall_game():
+    return quadratic_game(
+        2, 2, (1.0, 2.0), 1.0, 5.0, (0.04, 0.02), payment=PaymentRule.linear(0.1)
+    )
+
+
+@pytest.mark.parametrize("algorithm, tail", [
+    ("2p-upbred", "agent 0 is not increasing (gap 4)"),
+    ("fedavg-strategic", "agent 1 still improving (derivative 0.08)"),
+], ids=["2p-upbred", "fedavg-strategic"])
+def test_contribution_phase_that_cannot_move_ends_at_once(algorithm, tail):
+    # gamma times any derivative is below one ulp of s, so the first step
+    # leaves the profile's bits unchanged: a fixed point the handover never passes
+    cfg = RunConfig(gamma=1e-300, eta=0.5, rounds=10)
+    trace = run_dynamic(stall_game(), cfg, algorithm, np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+    assert trace.outcome == "Error"
+    assert trace.error == f"round 0: contribution phase stalled at a fixed point; {tail}"
+    assert len(trace.records) == 1
+
+
+def test_default_phase_one_cap_is_ten_kappa_up_to_100000():
+    g, s0 = stall_game(), np.array([1.0, 1.0])
+    for gamma, cap in ((0.5, 10 * 134), (1e-12, 100_000)):
+        cfg = RunConfig(gamma=gamma, eta=0.5, rounds=10)
+        assert 10 * predicted_phase1_rounds(g, cfg, s0) >= cap
+        assert _schedule(g, cfg, "2p-upbred", s0)[0].cap == cap
+    cfg = RunConfig(gamma=1e-12, eta=0.5, rounds=10, phase1_cap=10**9)
+    assert _schedule(g, cfg, "2p-upbred", s0)[0].cap == 10**9  # an explicit cap still wins
 
 
 def test_fedavg_pins_contributions_and_strips_payments(example_game_paid):

@@ -724,6 +724,18 @@ def test_inprocess_two_phase_matches_local(example_game_paid):
     assert trace_csv_text(fed.trace) == trace_csv_text(local)
 
 
+def test_inprocess_stalled_contribution_phase_matches_local(example_game_paid):
+    # the center compares the profile's bits, so the stall ends a federated
+    # run in the same round and with the same error as a local one
+    cfg = RunConfig(gamma=1e-300, eta=5.0, rounds=200)
+    w0, s0 = np.zeros(2), np.array([2.5, 2.5])
+    local = run_dynamic(example_game_paid, cfg, "2p-upbred", w0, s0)
+    assert local.error.startswith("round 0: contribution phase stalled at a fixed point; ")
+    fed = run_inprocess_federation(example_game_paid, cfg, "2p-upbred", w0, s0, timeout=10.0)
+    assert fed.trace.error == local.error
+    assert trace_csv_text(fed.trace) == trace_csv_text(local)
+
+
 @pytest.mark.parametrize("algorithm, eps, outcome", [
     ("upbred", 0.3, "Converged"),
     ("upbred", 1e-14, "Error"),  # agent 1's step fails, as in the test below

@@ -87,11 +87,16 @@ def test_trace_csv_text_deterministic(example_game):
     assert "\r" not in a
 
 
-def test_empty_trace_rejected(example_game):
+def test_empty_trace_rejected(example_game, tmp_path):
     cfg = RunConfig(gamma=0.25, eta=0.25, rounds=1)
     empty = Trace(cfg, {}, [], "Error", "round 0: boom")
     with pytest.raises(ConfigError):
         trace_csv_text(empty)
+    for write in (write_trace_csv, write_run_manifest):
+        path = tmp_path / write.__name__
+        with pytest.raises(ConfigError, match="^cannot serialize an empty trace$"):
+            write(empty, path)
+        assert not path.exists()  # serialized before the file is opened
 
 
 def test_read_trace_rejects_foreign_header(tmp_path):
