@@ -8,8 +8,6 @@ Exit codes: 0 success/Certified, 1 validation error, 2 runtime error,
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 import time
@@ -28,12 +26,10 @@ from .core import (
     welfare_gradient,
 )
 from .dynamics import (
-    check_smoothness,
     contraction_factor,
     corollary_bound,
     iteration_bound_T0,
     iteration_bounds_two_phase,
-    predicted_phase1_rounds,
     run_dynamic,
 )
 from .models import QuadraticAccuracy
@@ -77,12 +73,6 @@ def _built(args) -> tuple[BuiltScenario, str, str]:
     return build_scenario(cfg), text, stem
 
 
-def _out_dir(args, built: BuiltScenario) -> str:
-    out = args.out if getattr(args, "out", None) else built.cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _parse_hostport(value: str) -> tuple[str, int]:
     host, sep, port = value.rpartition(":")
     if not sep or not host:
@@ -91,21 +81,6 @@ def _parse_hostport(value: str) -> tuple[str, int]:
         return host, int(port)
     except ValueError:
         raise ConfigError(f"bad port in {value!r}") from None
-
-
-def _write_outputs(trace, built: BuiltScenario, out: str, stem: str, config_text: str) -> list[str]:
-    paths = []
-    if "csv" in built.cfg.formats:
-        path = os.path.join(out, f"{stem}.csv")
-        traceio.write_trace_csv(trace, path)
-        paths.append(path)
-    if "json" in built.cfg.formats:
-        path = os.path.join(out, f"{stem}.json")
-        traceio.write_run_manifest(
-            trace, path, config_text, extra={"algorithm": built.algorithm}
-        )
-        paths.append(path)
-    return paths
 
 
 def _summary_line(trace) -> str:
@@ -152,12 +127,17 @@ def cmd_run(args) -> int:
         )
     else:
         trace = run_dynamic(built.game, built.run, built.algorithm, built.w0, built.s0)
-    out = _out_dir(args, built)
-    # a run that fails before its first round record has no trace to write
-    paths = _write_outputs(trace, built, out, stem, text) if trace.records else []
+    files = {}  # a run that fails before its first round record has no trace
+    if trace.records:  # both files are rendered before either is written
+        out = args.out or built.cfg.out_dir
+        manifest = traceio.run_manifest(trace, text, extra={"algorithm": built.algorithm})
+        files = {os.path.join(out, f"{stem}.csv"): traceio.trace_csv_text(trace),
+                 os.path.join(out, f"{stem}.json"): traceio.document_text(manifest, "run manifest")}
+    for path, content in files.items():
+        traceio.write_file(path, content)
     print(_summary_line(trace))
-    for p in paths:
-        print(f"wrote {p}")
+    for path in files:
+        print(f"wrote {path}")
     return EXIT_OK if trace.outcome != "Error" else EXIT_RUNTIME
 
 
@@ -227,16 +207,10 @@ def cmd_sweep(args) -> int:
                  repr(wall), error]
             )
 
-    out = args.out or base_cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, f"{stem}.sweep.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["axis", "value", "replicate", "outcome", "welfare", "total_s",
-             "rounds", "wall_time_s", "error"]
-        )
-        writer.writerows(rows)
+    path = os.path.join(args.out or base_cfg.out_dir, f"{stem}.sweep.csv")
+    header = ["axis", "value", "replicate", "outcome", "welfare", "total_s",
+              "rounds", "wall_time_s", "error"]
+    traceio.write_file(path, traceio.table_csv_text([header, *rows]))
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -249,6 +223,16 @@ def _vector_arg(raw: str, length: int, what: str) -> np.ndarray:
     if len(vec) != length:
         raise ConfigError(f"{what} needs {length} entries, got {len(vec)}")
     return vec
+
+
+def _emit(doc: dict, what: str, out: str | None, name: str) -> None:
+    """Print doc as strict JSON and, given an out directory, write it there."""
+    text = traceio.document_text(doc, what)
+    sys.stdout.write(text)
+    if out:
+        path = os.path.join(out, name)
+        traceio.write_file(path, text)
+        print(f"wrote {path}", file=sys.stderr)
 
 
 def cmd_certify(args) -> int:
@@ -270,14 +254,7 @@ def cmd_certify(args) -> int:
     doc = cert.as_dict()
     doc["w"] = [float(v) for v in w]
     doc["s"] = [float(v) for v in s]
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"{stem}.certificate.json")
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {path}", file=sys.stderr)
+    _emit(doc, "certificate", args.out, f"{stem}.certificate.json")
     return EXIT_OK if cert.certified else EXIT_REFUTED
 
 
@@ -293,8 +270,6 @@ def cmd_bounds(args) -> int:
             M = nu = 2.0 / (g.accuracy.sigma0 + float(np.sum(g.s_max)))
     elif nu is None:
         nu = M
-    if M is not None:
-        check_smoothness(M, nu)
     doc: dict = {"n": g.n, "m": g.m, "gamma": cfg.gamma, "eta": cfg.eta, "eps": cfg.eps,
                  "M": M, "nu": nu}
 
@@ -310,12 +285,15 @@ def cmd_bounds(args) -> int:
             raise ConfigError(f"{', '.join(stray)} require --constants explicit")
         samples = analysis.assumption_samples(g, count=args.samples, w_radius=args.w_radius)
         with np.errstate(over="ignore", invalid="ignore"):
+            at_origin = np.isfinite(evaluate_profile(g, np.zeros(g.m), samples[0][1])[0]).all()
             finite = all(np.isfinite(evaluate_profile(g, w, s)[0]).all() for w, s in samples)
             # a central second difference doubles a sum of n accuracies, at
             # points up to one step (relative, at |w_k| >= 1) further out in w
             reach = 1.0 + analysis.FD_STEP
             stencil = all(np.isfinite(2.0 * g.n * evaluate_profile(g, reach * w, s)[0]).all()
                           for w, s in samples)
+        if not at_origin:
+            raise ConfigError("the instance's accuracy is not finite at w = 0")
         if not finite:
             raise ConfigError(
                 f"--w-radius {args.w_radius!r} reaches parameters where the accuracy "
@@ -351,27 +329,28 @@ def cmd_bounds(args) -> int:
         doc["T0"] = None
         doc["W_note"] = str(exc)
 
-    doc["kappa"] = None
-    doc["T0_two_phase"] = None
-    doc["T0_corollary"] = None
+    doc["kappa"] = doc["T0_two_phase"] = doc["T0_corollary"] = None
     if M is not None:
+        # corollary_bound checks M and nu, so a bad pair exits 1; a bound
+        # that cannot be computed is null with a note, as W is
         opt = analysis.compute_w_opt(g)
-        if predicted_phase1_rounds(g, cfg, built.s0) is not None:
-            f0 = (opt.welfare - analysis.social_welfare(g, built.w0, g.s_max)) / g.n
+        try:
+            doc["T0_corollary"] = corollary_bound(
+                float(np.linalg.norm(built.w0 - opt.w_opt)), cfg.eps, M, nu
+            )
+        except NumericError as exc:
+            doc["T0_corollary_note"] = str(exc)
+        f0 = (opt.welfare - analysis.social_welfare(g, built.w0, g.s_max)) / g.n
+        try:
             doc["kappa"], doc["T0_two_phase"] = iteration_bounds_two_phase(
                 g, cfg, built.s0, f0, M, nu
             )
-        doc["T0_corollary"] = corollary_bound(
-            float(np.linalg.norm(built.w0 - opt.w_opt)), cfg.eps, M, nu
-        )
+        except ConfigError:
+            pass  # with M, nu and eps valid: no kappa for this transfer rule
+        except NumericError as exc:
+            doc["T0_two_phase_note"] = str(exc)
 
-    print(json.dumps(doc, indent=2, sort_keys=True))
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, f"{stem}.bounds.json")
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _emit(doc, "bounds document", args.out, f"{stem}.bounds.json")
     return EXIT_REFUTED if region.empty else EXIT_OK
 
 
@@ -387,14 +366,10 @@ def cmd_diagnose(args) -> int:
         ratios, max_ratio = [], None
 
     out = args.out or os.path.dirname(args.trace) or "."
-    os.makedirs(out, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.trace))[0]
     path = os.path.join(out, f"{stem}.ratios.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "ratio"])
-        for t, ratio in ratios:
-            writer.writerow([str(int(t)), repr(float(ratio))])
+    rows = [[str(int(t)), repr(float(ratio))] for t, ratio in ratios]
+    traceio.write_file(path, traceio.table_csv_text([["t", "ratio"], *rows]))
 
     final = table.rounds - 1
     print(f"rounds={table.rounds} final_t={int(table.t[final])} "

@@ -27,7 +27,7 @@ from .models import CostModel, EmpiricalAccuracy, QuadraticAccuracy, synth_datas
 ACCURACY_FAMILIES = ("quadratic", "empirical")
 COST_KINDS = ("linear", "polynomial", "random-linear")
 PAYMENT_KINDS = ("none", "linear")
-OUTPUT_FORMATS = ("csv", "json")
+EMPIRICAL_MAX_ROWS = 10**6
 
 # A reader is called as read(raw, name, got): raw is the key's stripped text
 # (its default text when the key is absent; None when it has no default),
@@ -143,6 +143,9 @@ def _read_s_max(raw, name, got):
     s_max = _per_agent(raw, name, got)
     if any(v <= 0.0 for v in s_max):
         raise ConfigError(f"{name} entries must be positive")
+    # an empirical agent draws and holds ceil(s_max) training rows
+    if got["accuracy"] == "empirical" and any(v > EMPIRICAL_MAX_ROWS for v in s_max):
+        raise ConfigError(f"{name} entries must be <= {EMPIRICAL_MAX_ROWS} for empirical accuracy")
     return s_max
 
 
@@ -167,14 +170,6 @@ def _read_s0(raw, name, got):
         if v < 0.0 or v > hi:
             raise ConfigError(f"{name} outside the contribution box")
     return s0
-
-
-def _read_formats(raw, name, got):
-    formats = tuple(tok.strip() for tok in raw.split(","))
-    for f in formats:
-        if f not in OUTPUT_FORMATS:
-            raise ConfigError(f"unknown {name} entry {f!r}")
-    return formats
 
 
 def _key(section: str, default: str | None, read, when: tuple | None = None):
@@ -233,7 +228,6 @@ class ScenarioConfig:
     s0_lo: float = _key("init", repr(1.0 / 3.0), _float())
     s0_hi: float = _key("init", repr(2.0 / 3.0), _float())
     out_dir: str = _key("output", "out", _text)
-    formats: tuple[str, ...] = _key("output", "csv,json", _read_formats)
 
 
 _FIELDS = fields(ScenarioConfig)

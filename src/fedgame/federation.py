@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import ConfigError, FederationError, GameError, GameInstance
 from .dynamics import AgentWorker, RunConfig, run_dynamic
-from .traceio import instance_digest
+from .traceio import canonical_json, instance_digest
 
 PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 16 * 1024 * 1024
@@ -53,17 +53,11 @@ class DecodeError(FederationError):
         self.offset = offset
 
 
-# Built once: json.dumps and json.loads with options build a new encoder or
-# decoder on every call, which costs about as much as the coding of a
-# round's frame itself.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
 def encode_frame(ftype: str, payload: dict) -> bytes:
     if ftype not in FRAME_TYPES:
         raise ConfigError(f"unknown frame type {ftype!r}")
     try:
-        body = _ENCODER.encode({"type": ftype, "payload": payload})
+        body = canonical_json({"type": ftype, "payload": payload})
     except ValueError as exc:
         raise FederationError(f"unencodable frame payload: {exc}") from None
     data = (body + "\n").encode("utf-8")
@@ -76,6 +70,7 @@ def _reject_constant(token: str):
     raise DecodeError(f"non-finite number {token!r} in frame")
 
 
+# Built once: json.loads with options builds a new decoder on every call.
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
@@ -198,11 +193,7 @@ def _best_effort(channel, ftype: str, payload: dict) -> None:
 
 
 def derive_run_id(g: GameInstance, cfg: RunConfig, algorithm: str) -> str:
-    blob = json.dumps(
-        {"digest": instance_digest(g), "algorithm": algorithm, **asdict(cfg)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    blob = canonical_json({"digest": instance_digest(g), "algorithm": algorithm, **asdict(cfg)})
     return hashlib.sha256(blob.encode()).hexdigest()[:32]
 
 

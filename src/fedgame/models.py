@@ -62,7 +62,8 @@ class AccuracyModel(Protocol):
     def manifest(self) -> dict: ...
 
 
-# Python's float ** 2 raises OverflowError where numpy would give inf
+# Python's float ** 2 raises OverflowError where numpy would give inf, and
+# dividing by a square that underflows to 0 raises ZeroDivisionError
 _SLOPE_OVERFLOW = "slope overflows: (sigma0 + sum(s)) ** 2 is out of float range"
 
 
@@ -120,7 +121,7 @@ class QuadraticAccuracy:
         try:
             # Python's d ** 2 (libm pow) is not always d * d; keep its bits
             dsi = np.array([sq / d ** 2 for d in denom.tolist()])
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             raise ModelEvalError(_SLOPE_OVERFLOW) from None
         grads = (2.0 * (self.theta - w)) / denom[:, None]
         return values, dsi, grads
@@ -151,7 +152,7 @@ class QuadraticAccuracy:
     def _slope(sq: float, d: float) -> float:
         try:
             return sq / d ** 2
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             raise ModelEvalError(_SLOPE_OVERFLOW) from None
 
     def manifest(self) -> dict:

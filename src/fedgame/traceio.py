@@ -1,25 +1,65 @@
-"""Serialization: instance digests, trace CSV files, run manifests.
+"""Serialization: every file, document and frame fedgame writes.
 
 Floats are rendered with repr() (shortest round-tripping form) so that
 written artifacts reproduce the in-memory doubles bit for bit when parsed
-back.  The instance digest is a sha256 over a canonical JSON encoding and is
-what federated agents compare during the handshake.
+back.  All JSON is strict (no NaN or Infinity): compact canonical JSON for
+frames, the run_id and the instance digest, which federated agents compare
+during the handshake; indented documents for everything else.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ConfigError, GameInstance
+from .core import ConfigError, GameInstance, NumericError
+
+# Built once: json.dumps with options builds a new encoder on every call,
+# which costs about as much as the coding of a round's frame itself.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+_DOCUMENT = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
 
 
-def _canon_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+def document_text(doc: dict, what: str) -> str:
+    """doc as an indented JSON document; NumericError naming `what` when
+    doc holds a NaN or an infinity."""
+    try:
+        return _DOCUMENT.encode(doc) + "\n"
+    except ValueError as exc:
+        raise NumericError(f"{what} is not strict JSON: {exc}") from None
+
+
+def table_csv_text(rows: list[list[str]]) -> str:
+    """A CSV table of string fields, header row first, "\n"-terminated,
+    quoted where needed."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def write_file(path, text: str) -> None:
+    """Write text to path whole or not at all, creating its directory: a
+    temporary file next to path replaces it in one rename, or is removed.
+    There is no fsync, so a power loss can still lose the new bytes."""
+    path = os.fspath(path)
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def fmt_float(x: float) -> str:
@@ -41,7 +81,7 @@ def game_manifest(g: GameInstance) -> dict:
 
 
 def instance_digest(g: GameInstance) -> str:
-    return hashlib.sha256(_canon_json(game_manifest(g)).encode()).hexdigest()
+    return hashlib.sha256(canonical_json(game_manifest(g)).encode()).hexdigest()
 
 
 def trace_columns(n: int, m: int) -> list[str]:
@@ -77,9 +117,7 @@ def trace_csv_text(trace) -> str:
 
 
 def write_trace_csv(trace, path) -> None:
-    text = trace_csv_text(trace)  # before opening: a trace that fails leaves no file
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    write_file(path, trace_csv_text(trace))
 
 
 @dataclass
@@ -158,6 +196,4 @@ def run_manifest(trace, config_text: str | None = None, extra: dict | None = Non
 
 
 def write_run_manifest(trace, path, config_text: str | None = None, extra: dict | None = None) -> None:
-    text = json.dumps(run_manifest(trace, config_text, extra), indent=2, sort_keys=True)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    write_file(path, document_text(run_manifest(trace, config_text, extra), "run manifest"))

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, files written, stdout shape."""
 
+import errno
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -10,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fedgame import analysis, cli, traceio
 from fedgame.cli import main
 from fedgame.traceio import read_trace_csv
 
@@ -40,17 +43,6 @@ def test_run_writes_trace_and_manifest(tmp_path, capsys):
     assert manifest["rounds_recorded"] == 3
     assert manifest["algorithm"] == "upbred"
     assert len(manifest["config_sha256"]) == 64
-
-
-def test_run_honours_formats_override(tmp_path):
-    out = str(tmp_path)
-    code = run_cli(
-        "run", "--config", "example1-upbred", "--out", out,
-        "--set", "output.formats=csv",
-    )
-    assert code == 0
-    assert (tmp_path / "example1-upbred.csv").is_file()
-    assert not (tmp_path / "example1-upbred.json").exists()
 
 
 def test_run_is_reproducible(tmp_path):
@@ -336,6 +328,27 @@ def test_bounds_notes_a_contraction_factor_that_overflows(tmp_path, capsys):
         assert strict_json((tmp_path / "quad5.bounds.json").read_text()) == doc
 
 
+def test_bounds_notes_training_bounds_that_do_not_contract(tmp_path, capsys):
+    # nu / M = 1e-600 rounds both gradient-descent rates to exactly 1
+    code = run_cli("bounds", "--config", "quad5", "--M", "1e300", "--nu", "1e-300",
+                   "--out", str(tmp_path))
+    captured = capsys.readouterr()
+    assert code == 3  # set by the empty step region, as without --M
+    doc = strict_json(captured.out)
+    for key in ("T0_two_phase", "T0_corollary"):
+        assert doc[key] is None
+        assert doc[f"{key}_note"] == "no contraction: W=1.0 >= 1"
+    assert captured.err == f"wrote {tmp_path / 'quad5.bounds.json'}\n"
+    assert strict_json((tmp_path / "quad5.bounds.json").read_text()) == doc
+
+
+def test_bounds_names_an_instance_whose_accuracy_is_not_finite_at_the_origin(capsys):
+    # |theta|^2 overflows: no --w-radius helps
+    code = run_cli("bounds", "--config", "quad5", "--set", "instance.theta=1e200,1e200,1e200")
+    assert code == 1
+    assert capsys.readouterr().err == "error: the instance's accuracy is not finite at w = 0\n"
+
+
 @pytest.mark.parametrize("override", [
     "instance.beta=1e300", "instance.cost_coeffs=1e154,1e154,1e154,1e154,1e154",
 ], ids=["beta", "cost"])
@@ -360,6 +373,78 @@ def test_bounds_whose_step_cap_overflows_is_one_error_line(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: step-size cap overflows for these constants\n"
+
+
+def fail_writes(monkeypatch, failure):
+    """Make every write that goes through traceio fail: "write" puts half of
+    the text on disk and then reports a full disk, "replace" fails the final
+    rename."""
+    if failure == "replace":
+        def replace(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(os, "replace", replace)
+        return
+
+    def open_half(file, mode="r", **kwargs):
+        fh = open(file, mode, **kwargs)
+        if "r" not in mode:
+            def write(text):
+                fh.__class__.write(fh, text[: len(text) // 2])
+                fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(traceio, "open", open_half, raising=False)
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+def test_a_write_that_fails_keeps_the_old_file_whole(tmp_path, capsys, monkeypatch, failure):
+    out = str(tmp_path)
+    assert run_cli("run", "--config", "quad5", "--out", out) == 0
+    assert run_cli("certify", "--config", "quad5", "--trace", str(tmp_path / "quad5.csv"),
+                   "--out", out) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    fail_writes(monkeypatch, failure)
+    # another seed and another profile: new bytes for both files
+    assert run_cli("run", "--config", "quad5", "--seed", "8", "--out", out) == 2
+    assert run_cli("certify", "--config", "quad5", "--w", "0,0,0", "--s", "1,1,1,1,1",
+                   "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: [Errno ") for line in err)
+    # the old bytes survive, and no temporary file is left
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("owner, name, argv, what", [
+    (traceio, "run_manifest", ("run", "--config", "quad5"), "run manifest"),
+    (analysis.EquilibriumCertificate, "as_dict",
+     ("certify", "--config", "quad5", "--w", "0,0,0", "--s", "1,1,1,1,1"), "certificate"),
+    (cli, "contraction_factor", ("bounds", "--config", "quad5", "--samples", "4"),
+     "bounds document"),
+], ids=["run", "certify", "bounds"])
+def test_a_document_that_is_not_strict_json_is_one_error_line(
+    tmp_path, capsys, monkeypatch, owner, name, argv, what
+):
+    real = getattr(owner, name)
+
+    def with_nan(*args, **kwargs):
+        got = real(*args, **kwargs)
+        if isinstance(got, dict):
+            return {**got, "injected": float("nan")}
+        return (float("nan"),) * 3  # contraction_factor's (W1, W2, W)
+
+    monkeypatch.setattr(owner, name, with_nan)
+    code = run_cli(*argv, "--out", str(tmp_path))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {what} is not strict JSON: ")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []  # the run's trace CSV included
 
 
 def test_diagnose_reports_ratios_and_final_table(tmp_path, capsys):

@@ -53,7 +53,6 @@ def test_parse_minimal_quadratic_defaults():
     assert cfg.algorithm == "upbred"
     assert cfg.gamma == 0.5 and cfg.eta == 0.25
     assert cfg.w0 == "zeros" and cfg.s0 == "random"
-    assert cfg.formats == ("csv", "json")
 
 
 def test_parse_empirical_derives_m():
@@ -293,6 +292,7 @@ REJECTIONS = {
     "test-size-below-one": (EMPIRICAL, ["instance.test_size=0"], "instance.test_size"),
     "m-below-one": (MINIMAL_QUADRATIC, ["instance.m=0"], "instance.m"),
     "s-max-not-positive": (MINIMAL_QUADRATIC, ["instance.s_max=0.0"], "instance.s_max"),
+    "s-max-beyond-empirical-rows": (EMPIRICAL, ["instance.s_max=1e154"], "instance.s_max"),
     "unknown-cost": (MINIMAL_QUADRATIC, ["instance.cost=cubic"], "instance.cost"),
     "coeffs-with-random-costs": (
         MINIMAL_QUADRATIC, ["instance.cost=random-linear"], "instance.cost_coeffs"
