@@ -402,8 +402,16 @@ def _add_net(p: argparse.ArgumentParser) -> None:
                    help="per-round protocol timeout in seconds")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a validation error: exit 1, not argparse's 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fedgame",
         description="Incentive-aware federated data-contribution games: "
                     "dynamics, certification, bounds, federation.",

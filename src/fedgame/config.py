@@ -319,15 +319,16 @@ def build_scenario(cfg: ScenarioConfig) -> BuiltScenario:
         accuracy = QuadraticAccuracy(np.array(cfg.theta), np.array(cfg.r), cfg.sigma0)
     else:
         data_seed = cfg.seed if cfg.data_seed is None else cfg.data_seed
-        train, test = synth_dataset(
-            data_seed,
-            cfg.n,
-            [int(ceil(v)) for v in cfg.s_max],
-            cfg.test_size,
-            cfg.features,
-            cfg.classes,
-            cfg.separation,
-        )
+        try:
+            train, test = synth_dataset(
+                data_seed, cfg.n, [int(ceil(v)) for v in cfg.s_max], cfg.test_size,
+                cfg.features, cfg.classes, cfg.separation,
+            )
+        except MemoryError as exc:
+            raise ConfigError(
+                "the empirical datasets do not fit in memory; lower instance.test_size, "
+                f"features, classes or s_max ({exc})"
+            ) from None
         accuracy = EmpiricalAccuracy(train, test, np.array(cfg.r), cfg.classes, data_seed)
 
     if isinstance(cfg.w0, str) and cfg.w0 == "zeros":

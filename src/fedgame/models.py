@@ -13,7 +13,7 @@ so every result is bit for bit that of the row-major layout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil
 from typing import Protocol
 
@@ -249,10 +249,12 @@ class CostModel:
 
 @dataclass(frozen=True, eq=False)
 class SyntheticDataset:
-    """Feature matrix plus integer labels for one agent."""
+    """Feature matrix plus integer labels for one agent.  label_index, built
+    once, is each label's flat position in the kernel's class-major arrays."""
 
     features: np.ndarray
     labels: np.ndarray
+    label_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
@@ -261,6 +263,9 @@ class SyntheticDataset:
             raise ConfigError("features must be a 2-d array")
         if self.labels.shape != (self.features.shape[0],):
             raise ConfigError("labels must match the number of rows")
+        index = self.labels * self.size + np.arange(self.size)
+        index.setflags(write=False)
+        object.__setattr__(self, "label_index", index)
 
     @property
     def size(self) -> int:
@@ -325,8 +330,8 @@ def _as_weight_matrix(w: np.ndarray, n_classes: int, n_features: int) -> np.ndar
 # The cross-entropy kernel.  After the gemm the logits are copied once to a
 # C-contiguous (classes, rows) array, so every per-example reduction runs
 # along axis 0 over whole contiguous rows, not along a few-wide inner axis.
-# Maxima, tie counts, exp and the label gather do not depend on the layout;
-# every sum whose order does goes through _class_sum.
+# Maxima, tie counts, exp and the label gather (through label_index) do not
+# depend on the layout; every sum whose order does goes through _class_sum.
 
 
 def _logits(w: np.ndarray, ds: SyntheticDataset, n_classes: int) -> np.ndarray:
@@ -362,7 +367,8 @@ def _logsumexp_rows(logits: np.ndarray, top: np.ndarray, shifted: np.ndarray) ->
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         is_top = logits == top
         ties = is_top.sum(axis=0, dtype=float)
-        rest = _class_sum(np.where(is_top, 0.0, shifted))
+        # minus is_top zeroes a finite maximum's exp(0) = 1.0; others take the fallback
+        rest = _class_sum(shifted - is_top)
         rest = np.where(rest == 0.0, rest, rest / ties)
         out = np.log1p(rest) + np.log(ties) + top
         bad = ~np.isfinite(out)
@@ -372,8 +378,8 @@ def _logsumexp_rows(logits: np.ndarray, top: np.ndarray, shifted: np.ndarray) ->
 
 
 def _mean_loss(logits: np.ndarray, lse: np.ndarray, ds: SyntheticDataset) -> float:
-    picked = logits[ds.labels, np.arange(ds.size)]
-    return float(np.mean(lse - picked))
+    # np.add.reduce / rows is np.mean's own reduction, minus its wrapper
+    return float(np.add.reduce(lse - logits.take(ds.label_index)) / ds.size)
 
 
 def _loss_grad(shifted: np.ndarray, ds: SyntheticDataset) -> np.ndarray:
@@ -382,7 +388,7 @@ def _loss_grad(shifted: np.ndarray, ds: SyntheticDataset) -> np.ndarray:
     the same product from the class-major array rounds differently."""
     probs = shifted
     probs /= _class_sum(probs)
-    probs[ds.labels, np.arange(ds.size)] -= 1.0
+    probs.reshape(-1)[ds.label_index] -= 1.0
     grad = np.ascontiguousarray(probs.T).T @ ds.features / ds.size
     return grad.reshape(-1)
 

@@ -77,6 +77,40 @@ def test_run_bad_override_is_validation_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    # argparse reads the negative value as an option, so --s has no argument
+    (("certify", "--config", "quad5", "--w", "0,0,0", "--s", "-1e-300,1,1,1,1"),
+     "fedgame certify: error: argument --s: expected one argument\n"),
+    (("nope",), "fedgame: error: argument command: invalid choice: 'nope'"),
+], ids=["negative-value-as-option", "unknown-command"])
+def test_a_usage_error_exits_as_a_validation_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert err.startswith("usage: fedgame")
+    assert message in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("certify", "--help")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fedgame certify")
+
+
+def test_an_empirical_instance_too_large_to_allocate_is_a_validation_error(tmp_path, capsys):
+    # 10**12 test rows: numpy cannot allocate the first of their arrays
+    code = run_cli("run", "--config", "empirical-small", "--out", str(tmp_path),
+                   "--set", "instance.test_size=1000000000000")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: the empirical datasets do not fit in memory; "
+                          "lower instance.test_size, features, classes or s_max (")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_connect_needs_agent_id(capsys):
     code = run_cli("run", "--config", "example1-upbred", "--connect", "127.0.0.1:1")
     assert code == 1

@@ -4,13 +4,14 @@ The reference below is the row-major kernel as it stood before the layout
 change (its argument checks and docstrings left out).  Every public result
 of the new kernel must equal it bit for bit, at every class count (numpy's
 pairwise sum changes its order at 8 and at 128 terms), with tied, huge and
-infinite logits.
+infinite logits, and at as many rows and features as the benchmark runs
+(past 128 rows numpy's mean adds in pairwise blocks).
 """
 
 from math import ceil
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedgame.models import (
@@ -25,6 +26,9 @@ from fedgame.models import (
 SEEDS = st.integers(0, 2**32 - 1)
 # both sides of each switch of numpy's pairwise sum
 CLASSES = st.one_of(st.integers(2, 9), st.integers(8, 128), st.integers(120, 300))
+# up to empirical-n20's 2,000 test rows and 8 features, and past them
+ROWS = st.one_of(st.integers(1, 60), st.integers(1, 3000))
+FEATURES = st.integers(1, 8)
 
 
 def same(a, b) -> bool:
@@ -105,11 +109,22 @@ def random_model(rng, classes, features, scale, ties):
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=SEEDS, rows=st.integers(1, 60), classes=CLASSES, features=st.integers(1, 4),
+@given(seed=SEEDS, rows=ROWS, classes=CLASSES, features=FEATURES,
        scale=st.sampled_from([1e-3, 1.0, 30.0, 800.0, 1e300]), ties=st.booleans())
+# one past numpy's 128-element pairwise block, and empirical-n20's test set
+@example(seed=0, rows=129, classes=4, features=8, scale=1.0, ties=False)
+@example(seed=1, rows=2000, classes=4, features=8, scale=1.0, ties=False)
+@example(seed=2, rows=2000, classes=130, features=8, scale=30.0, ties=True)
 def test_kernel_matches_row_major_reference(seed, rows, classes, features, scale, ties):
     rng = np.random.default_rng(seed)
-    ds = SyntheticDataset(rng.normal(size=(rows, features)), rng.integers(0, classes, size=rows))
+    features_in = rng.normal(size=(rows, features))
+    labels_in = rng.integers(0, classes, size=rows)
+    ds = SyntheticDataset(features_in, labels_in)
+    # the flat label index is the dataset's own, read-only; the caller's
+    # arrays stay writable
+    assert same(ds.label_index, labels_in * rows + np.arange(rows))
+    assert not ds.label_index.flags.writeable
+    assert features_in.flags.writeable and labels_in.flags.writeable
     w = random_model(rng, classes, features, scale, ties)
     with np.errstate(all="ignore"):  # scale 1e300 overflows the logits to +-inf
         loss = cross_entropy(w, ds, classes)
@@ -123,8 +138,10 @@ def test_kernel_matches_row_major_reference(seed, rows, classes, features, scale
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=SEEDS, classes=CLASSES, features=st.integers(1, 4), train=st.integers(1, 40),
-       s_i=st.floats(0.0, 50.0), learn_rate=st.sampled_from([0.05, 0.25, 1.0]))
+@given(seed=SEEDS, classes=CLASSES, features=FEATURES, train=ROWS,
+       s_i=st.floats(0.0, 3100.0), learn_rate=st.sampled_from([0.05, 0.25, 1.0]))
+@example(seed=0, classes=4, features=8, train=2000, s_i=129.0, learn_rate=0.25)
+@example(seed=1, classes=4, features=8, train=2000, s_i=1999.5, learn_rate=0.25)
 def test_local_training_step_matches_row_major_reference(
     seed, classes, features, train, s_i, learn_rate
 ):
