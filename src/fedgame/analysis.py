@@ -31,6 +31,7 @@ from .core import (
     NumericError,
     _left_sum,
     social_welfare,
+    sq_norm,
     utilities_given,
     welfare_gradient,
 )
@@ -667,7 +668,7 @@ def compute_w_opt(g: GameInstance) -> WelfareOptResult:
     converged = False
     while it < W_OPT_MAX_ITERS:
         grad = g.n * welfare_gradient(g, w, s)  # welfare gradient, not the mean
-        gn = float(np.linalg.norm(grad))
+        gn = sqrt(sq_norm(grad))
         if gn < W_OPT_TOL:
             converged = True
             break
@@ -689,9 +690,9 @@ def compute_w_opt(g: GameInstance) -> WelfareOptResult:
     return WelfareOptResult(
         w_opt=w,
         welfare=f,
-        grad_norm=float(np.linalg.norm(grad)),
+        grad_norm=sqrt(sq_norm(grad)),
         iterations=it,
-        converged=converged or float(np.linalg.norm(grad)) < W_OPT_TOL,
+        converged=converged or sqrt(sq_norm(grad)) < W_OPT_TOL,
     )
 
 

@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 import time
-from math import isfinite
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .core import (
     GameError,
     NumericError,
     evaluate_profile,
+    sq_norm,
     strategy_gradient,
     welfare_gradient,
 )
@@ -313,9 +314,8 @@ def cmd_bounds(args) -> int:
     doc["feasible_steps"] = region.as_dict()
 
     with np.errstate(over="ignore"):
-        E = float(
-            np.linalg.norm(strategy_gradient(g, built.w0, built.s0))
-            + np.linalg.norm(welfare_gradient(g, built.w0, built.s0))
+        E = sqrt(sq_norm(strategy_gradient(g, built.w0, built.s0))) + sqrt(
+            sq_norm(welfare_gradient(g, built.w0, built.s0))
         )
     if not isfinite(E):
         raise NumericError(f"initial update norm E is not finite ({E!r})")
@@ -336,7 +336,7 @@ def cmd_bounds(args) -> int:
         opt = analysis.compute_w_opt(g)
         try:
             doc["T0_corollary"] = corollary_bound(
-                float(np.linalg.norm(built.w0 - opt.w_opt)), cfg.eps, M, nu
+                sqrt(sq_norm(built.w0 - opt.w_opt)), cfg.eps, M, nu
             )
         except NumericError as exc:
             doc["T0_corollary_note"] = str(exc)

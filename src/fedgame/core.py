@@ -241,6 +241,13 @@ def _left_sum(a: np.ndarray):
     return np.cumsum(a, axis=0)[-1] + 0.0
 
 
+def sq_norm(x) -> float:
+    """x raveled and dotted with itself, as numpy computes a norm: sqrt of it is
+    np.linalg.norm(x) bit for bit, and sq_norm(d) is d @ d for a contiguous d."""
+    x = np.asarray(x, dtype=float).ravel(order="K")
+    return float(x.dot(x))
+
+
 def social_welfare(g: GameInstance, w: np.ndarray, s: np.ndarray) -> float:
     """Sum of accuracies over agents.  Costs and transfers are excluded."""
     return float(_left_sum(evaluate_profile(g, w, s)[0]))

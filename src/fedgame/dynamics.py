@@ -61,6 +61,7 @@ from .core import (
     clamp_profile,
     evaluate_profile,
     payment_vector,
+    sq_norm,
     strategy_derivatives,
 )
 from .traceio import game_manifest, instance_digest
@@ -320,8 +321,8 @@ class _Round:
             payments=pays,
             utilities=utilities,
             welfare=float(_left_sum(values)),
-            g_norm=float(np.linalg.norm(gv)),
-            gt_norm=float(np.linalg.norm(_mean_gradient(g, grads))),
+            g_norm=sqrt(sq_norm(gv)),
+            gt_norm=sqrt(sq_norm(_mean_gradient(g, grads))),
         )
 
 

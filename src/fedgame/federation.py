@@ -228,7 +228,7 @@ class RemotePool:
         self.digest = instance_digest(game)
         self._channels = list(channels)
         self._agent: dict[int, int] = {}  # channel index -> agent id, set by its hello
-        self._queue: queue.Queue = queue.Queue()
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._threads: list[threading.Thread] = []
         self._done = False
 

@@ -8,7 +8,10 @@ with zero cost at zero contribution.
 The empirical family's cross-entropy kernel works class-major: the logits
 are held as a (classes, rows) array, and the sums over classes add in the
 order numpy's pairwise sum adds one (rows, classes) row (see _class_sum),
-so every result is bit for bit that of the row-major layout.
+so every result is bit for bit that of the row-major layout.  Where every
+example has one maximal logit and none is NaN, the log-sum-exp skips the
+division by the count of maxima and the added log(count): dividing by 1.0
+and adding log(1.0) = +0.0 change no bit, as the summed rest is never -0.0.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .core import BOUND_TOL, ConfigError, ModelEvalError
+from .core import BOUND_TOL, ConfigError, ModelEvalError, sq_norm
 
 
 class AccuracyModel(Protocol):
@@ -136,8 +139,7 @@ class QuadraticAccuracy:
         return d
 
     def _sq_dist(self, w: np.ndarray) -> float:
-        diff = np.asarray(w, dtype=float) - self.theta
-        return float(diff @ diff)
+        return sq_norm(np.asarray(w, dtype=float) - self.theta)
 
     def value(self, i: int, w: np.ndarray, s: np.ndarray) -> float:
         return float(self.r[i]) - self._sq_dist(w) / self._denom(s)
@@ -363,16 +365,22 @@ def _logsumexp_rows(logits: np.ndarray, top: np.ndarray, shifted: np.ndarray) ->
     array), bit for bit what scipy.special.logsumexp returns over a row of
     the row-major one: the maximal terms are split out, the rest summed,
     divided by the number of maxima and passed through log1p, and a
-    non-finite result is replaced by the direct log(sum(exp))."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        is_top = logits == top
-        ties = is_top.sum(axis=0, dtype=float)
-        # minus is_top zeroes a finite maximum's exp(0) = 1.0; others take the fallback
-        rest = _class_sum(shifted - is_top)
-        rest = np.where(rest == 0.0, rest, rest / ties)
-        out = np.log1p(rest) + np.log(ties) + top
-        bad = ~np.isfinite(out)
-        if bad.any():
+    non-finite result is replaced by the direct log(sum(exp)).  One
+    maximum per example skips the tie arithmetic (see the module docstring)."""
+    is_top = logits == top
+    # minus is_top zeroes a finite maximum's exp(0) = 1.0; others take the fallback
+    rest = _class_sum(shifted - is_top)
+    # a NaN maximum equals no logit: it could hide another example's tie in the count
+    if np.count_nonzero(is_top) == top.size and not np.isnan(top).any():
+        out = np.log1p(rest) + top
+    else:
+        with np.errstate(divide="ignore"):
+            # rest == 0 has ties >= 1 (no maximum means a NaN rest): 0 / ties keeps the zero
+            ties = is_top.sum(axis=0, dtype=float)
+            out = np.log1p(rest / ties) + np.log(ties) + top
+    bad = ~np.isfinite(out)
+    if bad.any():
+        with np.errstate(divide="ignore", over="ignore"):
             out = np.where(bad, np.log(_class_sum(np.exp(logits))), out)
     return out
 
@@ -422,7 +430,8 @@ class EmpiricalAccuracy:
     The test loss does not depend on s, so the own-contribution derivative of
     this family is defined as zero; contribution sensitivity comes from the
     numerical difference-quotient updater in the dynamics module instead.
-    Agent i trains on the first ceil(s_i) rows of its train set.
+    Agent i trains on the first ceil(s_i) rows of its train set, a prefix
+    kept per agent until that count changes.
     """
 
     train_sets: tuple[SyntheticDataset, ...]
@@ -430,6 +439,7 @@ class EmpiricalAccuracy:
     r: np.ndarray
     n_classes: int
     data_seed: int = 0
+    _prefixes: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "train_sets", tuple(self.train_sets))
@@ -441,6 +451,7 @@ class EmpiricalAccuracy:
             raise ConfigError("r must have one entry per agent")
         if self.n_classes < 2:
             raise ConfigError("need at least two classes")
+        object.__setattr__(self, "_prefixes", [None] * len(self.train_sets))
 
     @property
     def n_agents(self) -> int:
@@ -490,8 +501,12 @@ class EmpiricalAccuracy:
         if count == 0:
             return np.array(w, dtype=float)
         full = self.train_sets[i]
-        count = min(count, full.size)
-        prefix = SyntheticDataset(full.features[:count], full.labels[:count])
+        prefix = self._prefixes[i]  # agent i's entry only: agents may step in threads
+        if count >= full.size:
+            prefix = full
+        elif prefix is None or prefix.size != count:
+            prefix = SyntheticDataset(full.features[:count], full.labels[:count])
+            self._prefixes[i] = prefix
         grad = cross_entropy_grad(w, prefix, self.n_classes)
         return np.asarray(w, dtype=float) - learn_rate * grad
 

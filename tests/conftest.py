@@ -28,6 +28,7 @@ from fedgame.core import (
     NumericError,
     PaymentRule,
     payment,
+    sq_norm,
 )
 from fedgame.dynamics import RunConfig
 from fedgame.federation import DEFAULT_TIMEOUT, SocketChannel, run_agent, serve_center
@@ -253,7 +254,7 @@ def quadratic_matrices(g: GameInstance, w: np.ndarray, s: np.ndarray) -> Matrice
     if sigma <= 0.0:
         raise ModelEvalError("singular denominator in closed-form curvature")
     diff = w - theta
-    D = float(diff @ diff)
+    D = sq_norm(diff)
     n, m = g.n, g.m
     G = np.full((n, n), -2.0 * D / sigma**3)
     for i in range(n):

@@ -1,5 +1,7 @@
 """Game primitives: transfers, utilities, welfare, corrected gradients."""
 
+from math import sqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from fedgame.core import (
     payment,
     payment_vector,
     social_welfare,
+    sq_norm,
     strategy_derivatives,
     strategy_gradient,
     utility,
@@ -328,3 +331,17 @@ def test_left_sum_keeps_cumsum_where_numpy_sums_pairwise(layout):
     assert np.all(expected == 1.0)
     assert _left_sum(a).tobytes() == expected.tobytes()
     assert (np.add.reduce(a, axis=0) + 0.0).tobytes() != expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.one_of(st.integers(1, 40), st.integers(1, 3000)),
+       stride=st.integers(1, 3), scale=st.sampled_from([1e-150, 1e-5, 1.0, 1e5, 1e150, 1e300]))
+def test_sq_norm_is_numpys_squared_norm(seed, m, stride, scale):
+    rng = np.random.default_rng(seed)
+    d = (rng.normal(size=m * stride) * scale)[::stride]
+    c = np.ascontiguousarray(d)
+    with np.errstate(over="ignore"):  # squares of 1e300 are inf
+        norm, sq, dd = np.linalg.norm(d), sq_norm(d), c @ c
+    assert np.float64(sqrt(sq)).tobytes() == norm.tobytes()
+    # a strided d is summed as its contiguous copy, as the norm sums it
+    assert np.float64(sq).tobytes() == np.float64(dd).tobytes()

@@ -8,17 +8,22 @@ infinite logits, and at as many rows and features as the benchmark runs
 (past 128 rows numpy's mean adds in pairwise blocks).
 """
 
-from math import ceil
+import threading
+from math import ceil, inf, nan
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from fedgame.models import (
     EmpiricalAccuracy,
     SyntheticDataset,
     _class_sum,
     _cross_entropy_and_grad,
+    _logsumexp_rows,
+    _shifted_exp,
     cross_entropy,
     cross_entropy_grad,
 )
@@ -158,6 +163,32 @@ def test_local_training_step_matches_row_major_reference(
     )
 
 
+# Crafted logits, class-major: one column per example.
+CRAFTED = {
+    "one-maximum-each": [[1.0, -2.0, 0.25], [0.5, 3.0, 0.0], [-1.0, 2.5, 0.5]],
+    "ties-in-some": [[1.0, 2.0, 0.0], [1.0, 1.0, 0.0], [0.5, 2.0, 0.0]],
+    # two maxima in the first example and none in the NaN one: the count of
+    # maxima equals the number of examples although not every example has one
+    "nan-maximum-hides-a-tie": [[1.0, nan], [1.0, 0.0], [0.5, 0.2]],
+    "infinite": [[inf, -inf, 1.0, inf], [0.0, -inf, -inf, inf], [-inf, 2.0, -inf, 1.0]],
+    "all-minus-inf": [[-inf, -inf], [-inf, -inf], [-inf, -inf]],
+}
+
+
+@pytest.mark.parametrize("logits", CRAFTED.values(), ids=CRAFTED.keys())
+@pytest.mark.parametrize("pad", [1, 8])  # -inf classes below: 4 to 11 classes in all
+def test_logsumexp_rows_on_crafted_logits(logits, pad):
+    logits = np.array(logits)
+    logits = np.vstack([logits, np.full((pad, logits.shape[1]), -inf)])
+    with np.errstate(invalid="ignore"):  # inf - inf in the shift, as in the kernel
+        top, shifted = _shifted_exp(logits)
+        row_top, row_shifted = _ref_shifted_exp(logits.T)
+        expected = logsumexp(logits.T, axis=1)
+    got = _logsumexp_rows(logits, top, shifted)
+    assert same(got, _ref_logsumexp_rows(logits.T, row_top, row_shifted))
+    assert same(got, expected)
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=SEEDS, rows=st.integers(1, 30), classes=st.integers(1, 300))
 def test_class_sum_adds_as_numpy_sums_a_row(seed, rows, classes):
@@ -165,3 +196,61 @@ def test_class_sum_adds_as_numpy_sums_a_row(seed, rows, classes):
     # positive terms over six orders of magnitude: the order shows in the last bits
     x = rng.random((rows, classes)) * 10.0 ** rng.uniform(-3.0, 3.0, (rows, classes))
     assert same(_class_sum(np.ascontiguousarray(x.T)), x.sum(axis=1))
+
+
+# ---------------------------------------------------------------------------
+# The per-agent train prefix that local_training_step keeps.
+
+
+def training_instance(seed, sizes, classes=4, features=3):
+    rng = np.random.default_rng(seed)
+    sets = [
+        SyntheticDataset(rng.normal(size=(size, features)), rng.integers(0, classes, size=size))
+        for size in sizes
+    ]
+    return rng, EmpiricalAccuracy(sets, sets, np.zeros(len(sets)), classes)
+
+
+# ceil(s_i) stays, changes, returns to an earlier count, reaches 0 and
+# passes the train size (50 rows)
+CONTRIBUTIONS = [10.2, 10.7, 11.0, 12.5, 11.0, 0.0, -0.3, 3.0, 49.5, 50.0, 51.0, 1e154, 11.0, 10.1]
+
+
+def test_training_steps_keep_one_prefix_and_match_the_reference():
+    rng, acc = training_instance(0, [50])
+    w = rng.normal(size=acc.dim)
+    for s_i in CONTRIBUTIONS:
+        before = acc._prefixes[0]
+        step = acc.local_training_step(0, w, s_i, 0.25)
+        assert same(step, ref_local_training_step(acc, 0, w, s_i, 0.25))
+        if before is not None and ceil(s_i) == before.size:
+            assert acc._prefixes[0] is before  # same count: nothing rebuilt
+        w = step
+    # at 11 rows the prefix's rows are views of the train set itself
+    assert acc._prefixes[0].size == 11
+    assert np.shares_memory(acc._prefixes[0].features, acc.train_sets[0].features)
+
+
+def test_agents_stepping_in_threads_on_one_instance():
+    rng, acc = training_instance(1, [60, 40])
+    # few counts, so that an agent reading the other's prefix would often
+    # find one of the size it wants
+    contributions = rng.choice([2.5, 3.0, 7.0, 45.0], size=(2, 300))
+    w0 = rng.normal(size=acc.dim)
+    expected = [[ref_local_training_step(acc, i, w0, s, 0.1) for s in contributions[i]]
+                for i in range(2)]
+    got = [[], []]
+    step = threading.Barrier(2)  # the two agents take each step together
+
+    def agent(i):
+        for s in contributions[i]:
+            step.wait()
+            got[i].append(acc.local_training_step(i, w0, s, 0.1))
+
+    threads = [threading.Thread(target=agent, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for i in range(2):
+        assert all(same(a, b) for a, b in zip(got[i], expected[i], strict=True))
