@@ -312,6 +312,10 @@ def cmd_bounds(args) -> int:
 
     region = analysis.feasible_steps(g.n, g.m, **consts)
     doc["feasible_steps"] = region.as_dict()
+    # exit 0 says only that the region is not empty; this says that the
+    # configured steps lie in it (gamma_ok and eta_ok compare constants)
+    doc["steps_in_region"] = (not region.empty and 0.0 < cfg.gamma <= region.gamma_max
+                              and 0.0 < cfg.eta <= region.eta_max)
 
     with np.errstate(over="ignore"):
         E = sqrt(sq_norm(strategy_gradient(g, built.w0, built.s0))) + sqrt(

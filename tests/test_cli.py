@@ -376,6 +376,38 @@ def test_bounds_notes_training_bounds_that_do_not_contract(tmp_path, capsys):
     assert strict_json((tmp_path / "quad5.bounds.json").read_text()) == doc
 
 
+def test_bounds_exits_0_for_steps_outside_a_region_that_is_not_empty(capsys):
+    # test_golden pins steps_in_region on quad5-certified (true) and quad5 (false, exit 3)
+    code = run_cli("bounds", "--config", "quad5-certified",
+                   "--set", "run.gamma=0.5", "--set", "run.eta=0.5")
+    assert code == 0
+    doc = strict_json(capsys.readouterr().out)
+    assert doc["feasible_steps"]["eta_ok"] is True and doc["W"]["W"] > 1.0
+    assert doc["steps_in_region"] is False
+
+
+def test_certified_scenario_converges_within_its_bounds(tmp_path, capsys):
+    """The paper's guarantee through the CLI: on quad5-certified the run
+    converges within T0, every observed per-round ratio stays within W, and
+    w stays in the box whose samples gave the constants."""
+    w_radius = 1.0
+    code = run_cli("bounds", "--config", "quad5-certified", "--w-radius", str(w_radius))
+    assert code == 0
+    bounds = strict_json(capsys.readouterr().out)
+    assert bounds["steps_in_region"] is True
+
+    assert run_cli("run", "--config", "quad5-certified", "--out", str(tmp_path)) == 0
+    assert "outcome=Converged" in capsys.readouterr().out
+    trace = tmp_path / "quad5-certified.csv"
+    table = read_trace_csv(trace)
+    assert table.t[-1] <= bounds["T0"]
+    assert np.abs(table.w).max() <= w_radius
+
+    assert run_cli("diagnose", "--trace", str(trace)) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert float(first.rpartition("max_ratio=")[2]) <= bounds["W"]["W"]
+
+
 def test_bounds_names_an_instance_whose_accuracy_is_not_finite_at_the_origin(capsys):
     # |theta|^2 overflows: no --w-radius helps
     code = run_cli("bounds", "--config", "quad5", "--set", "instance.theta=1e200,1e200,1e200")

@@ -30,6 +30,7 @@ from fedgame.traceio import read_trace_csv
 # (n, m) of each bundled scenario
 SCENARIOS = {
     "quad5": (5, 3),
+    "quad5-certified": (5, 3),
     "example1-upbred": (2, 2),
     "example1-2p": (2, 2),
     "example1-fas": (2, 2),

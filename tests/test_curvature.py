@@ -408,6 +408,6 @@ def test_cli_output_does_not_depend_on_scipy(tmp_path):
         assert ("scipy refused" in proc.stderr) == (label == "refused")
         results[label] = (proc.stdout, {p.name: p.read_bytes() for p in (cwd / "out").iterdir()})
     out, files = results["refused"]
-    assert out.count("'run'") == out.count("'bounds'") == len(builtin_names()) == 5
-    assert len(files) == 15
+    assert out.count("'run'") == out.count("'bounds'") == len(builtin_names()) == 6
+    assert len(files) == 18
     assert results["refused"] == results["open"]

@@ -7,6 +7,7 @@ must say why and give the largest absolute difference per column.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -15,7 +16,7 @@ from fedgame.cli import main
 from fedgame.config import build_scenario, parse_scenario
 from fedgame.dynamics import run_dynamic
 from fedgame.scenarios import builtin_text
-from fedgame.traceio import trace_csv_text
+from fedgame.traceio import document_text, trace_csv_text
 
 from conftest import run_inprocess_federation
 
@@ -45,6 +46,11 @@ CASES = {
         "quad5", (),
         "b6c38f10924b8c349a71ae856df1a45bfe82a4e663f4a6548f3c0ffbabd028b8",
         "Converged", 188, None,
+    ),
+    "quad5-certified": (
+        "quad5-certified", (),
+        "188ecd0e3a18ec6546657e901d7749932f128d877d2b1ac88ddb2a8397566847",
+        "Converged", 1579, None,
     ),
     # no bundled scenario runs plain fedavg
     "quad5-fedavg": (
@@ -161,11 +167,16 @@ LARGE_CASES = {
 QUAD50_CERTIFY = "4eb3b99626b5d888eee42fe45de73d1cfb779d382a55a0df2786b5e2195531e9"
 
 
-# sha256 of the stdout of `fedgame bounds --config <name> --samples 16`: the
-# estimated curvature constants pin every finite-difference stencil value
+# `fedgame bounds --config <name> --samples 16`: exit code, steps_in_region,
+# and sha256 of the document that stdout holds with steps_in_region dropped
+# (the digests predate that key).  The estimated curvature constants pin
+# every finite-difference stencil value.
 BOUNDS = {
-    "example1-2p": "132dc94b4cb95b09f1f43e462ce1d087e146a4a206ed7216abfd7fd60e88f446",
-    "quad5": "e37382caca597856a463a2bf0af871a4fbf77065327353f77011f826108d0f40",
+    "example1-2p": (3, False, "132dc94b4cb95b09f1f43e462ce1d087e146a4a206ed7216abfd7fd60e88f446"),
+    "quad5": (3, False, "e37382caca597856a463a2bf0af871a4fbf77065327353f77011f826108d0f40"),
+    "quad5-certified": (
+        0, True, "5e30ff3ec097142e8bf560cabdf349d642402b9270ab4e6d41d53fb6ca906d7d",
+    ),
 }
 
 
@@ -250,9 +261,14 @@ def test_golden_inprocess_federation_empirical_equals_local():
 
 @pytest.mark.parametrize("name", sorted(BOUNDS))
 def test_golden_bounds_output(name, capsys):
-    assert main(["bounds", "--config", name, "--samples", "16"]) == 3  # the region is empty
+    code, in_region, sha = BOUNDS[name]
+    assert main(["bounds", "--config", name, "--samples", "16"]) == code
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BOUNDS[name]
+    doc = json.loads(out)
+    assert document_text(doc, "bounds document") == out
+    assert doc.pop("steps_in_region") is in_region
+    text = document_text(doc, "bounds document")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha
 
 
 

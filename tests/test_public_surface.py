@@ -1,7 +1,7 @@
 """Every public function and class of the package has a caller outside tests.
 
 A public top-level function or class in src/fedgame/*.py must be referenced
-from src/, scripts/ or perfbench/: by name, as an attribute, or as an
+from src/ or perfbench/: by name, as an attribute, or as an
 identifier string (perfbench binds some names through getattr).  The
 package's __init__ imports are not references, and nor is anything under
 tests/, so a name whose only caller is a test fails here and belongs in the
@@ -30,7 +30,7 @@ def referenced_names(paths) -> set:
 
 def test_every_public_name_has_a_caller_outside_tests():
     used = referenced_names(
-        path for top in ("src", "scripts", "perfbench") for path in (ROOT / top).rglob("*.py")
+        path for top in ("src", "perfbench") for path in (ROOT / top).rglob("*.py")
     )
     unused = [
         f"{module.stem}.{node.name}"
