@@ -97,37 +97,8 @@ def _summary_line(trace) -> str:
     return msg
 
 
-def cmd_run(args) -> int:
-    if args.listen and args.connect:
-        raise ConfigError("--listen and --connect cannot be combined")
-    federation.check_timeout(args.timeout, "--timeout")
-    built, text, stem = _built(args)
-    if args.connect:
-        if args.agent_id is None:
-            raise ConfigError("--connect requires --agent-id")
-        host, port = _parse_hostport(args.connect)
-        status = federation.connect_agent(
-            built.game, args.agent_id, built.run, host, port, timeout=args.timeout,
-            notify=lambda msg: print(f"error: {msg}", file=sys.stderr),
-        )
-        return EXIT_OK if status == 0 else EXIT_RUNTIME
-    if args.listen:
-        host, port = _parse_hostport(args.listen)
-        listener = federation.open_listener(host, port)
-        actual = listener.getsockname()[1]
-        # flush so a piped supervisor can read the port before we block in accept
-        print(f"listening on {host}:{actual}, waiting for {built.game.n} agent(s)",
-              flush=True)
-        try:
-            channels = federation.accept_agents(listener, built.game.n, args.timeout)
-        finally:
-            listener.close()
-        trace = federation.serve_center(
-            built.game, built.run, built.algorithm, channels,
-            built.w0, built.s0, timeout=args.timeout,
-        )
-    else:
-        trace = run_dynamic(built.game, built.run, built.algorithm, built.w0, built.s0)
+def _write_run(args, built: BuiltScenario, text: str, stem: str, trace) -> int:
+    """Write a run's trace CSV and manifest and print its summary."""
     files = {}  # a run that fails before its first round record has no trace
     if trace.records:  # both files are rendered before either is written
         out = args.out or built.cfg.out_dir
@@ -142,16 +113,40 @@ def cmd_run(args) -> int:
     return EXIT_OK if trace.outcome != "Error" else EXIT_RUNTIME
 
 
+def cmd_run(args) -> int:
+    built, text, stem = _built(args)
+    trace = run_dynamic(built.game, built.run, built.algorithm, built.w0, built.s0)
+    return _write_run(args, built, text, stem, trace)
+
+
 def cmd_serve(args) -> int:
-    if not args.listen:
-        raise ConfigError("serve requires --listen host:port")
-    return cmd_run(args)
+    federation.check_timeout(args.timeout, "--timeout")
+    built, text, stem = _built(args)
+    host, port = _parse_hostport(args.listen)
+    listener = federation.open_listener(host, port)
+    actual = listener.getsockname()[1]
+    # flush so a piped supervisor can read the port before we block in accept
+    print(f"listening on {host}:{actual}, waiting for {built.game.n} agent(s)", flush=True)
+    try:
+        channels = federation.accept_agents(listener, built.game.n, args.timeout)
+    finally:
+        listener.close()
+    trace = federation.serve_center(
+        built.game, built.run, built.algorithm, channels,
+        built.w0, built.s0, timeout=args.timeout,
+    )
+    return _write_run(args, built, text, stem, trace)
 
 
 def cmd_agent(args) -> int:
-    if not args.connect:
-        raise ConfigError("agent requires --connect host:port")
-    return cmd_run(args)
+    federation.check_timeout(args.timeout, "--timeout")
+    built, _text, _stem = _built(args)
+    host, port = _parse_hostport(args.connect)
+    status = federation.connect_agent(
+        built.game, args.agent_id, built.run, host, port, timeout=args.timeout,
+        notify=lambda msg: print(f"error: {msg}", file=sys.stderr),
+    )
+    return EXIT_OK if status == 0 else EXIT_RUNTIME
 
 
 def cmd_sweep(args) -> int:
@@ -275,15 +270,13 @@ def cmd_bounds(args) -> int:
                  "M": M, "nu": nu}
 
     consts = {name: getattr(args, name) for name in CONSTANTS}
-    doc["constants_source"] = args.constants
-    if args.constants == "explicit":
+    explicit = any(v is not None for v in consts.values())
+    doc["constants_source"] = "explicit" if explicit else "estimated"
+    if explicit:
         missing = [_flag(k) for k, v in consts.items() if v is None]
         if missing:
             raise ConfigError(f"explicit constants require {', '.join(missing)}")
     else:
-        stray = [_flag(k) for k, v in consts.items() if v is not None]
-        if stray:
-            raise ConfigError(f"{', '.join(stray)} require --constants explicit")
         samples = analysis.assumption_samples(g, count=args.samples, w_radius=args.w_radius)
         with np.errstate(over="ignore", invalid="ignore"):
             at_origin = np.isfinite(evaluate_profile(g, np.zeros(g.m), samples[0][1])[0]).all()
@@ -389,19 +382,17 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, out: bool = True) -> None:
     p.add_argument("--config", required=True,
                    help="scenario file path or bundled name")
     p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                    help="override a config entry (repeatable)")
     p.add_argument("--seed", type=int, help="override run.seed")
-    p.add_argument("--out", help="output directory (default from config)")
+    if out:
+        p.add_argument("--out", help="output directory (default from config)")
 
 
-def _add_net(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--listen", metavar="HOST:PORT", help="serve rounds to remote agents")
-    p.add_argument("--connect", metavar="HOST:PORT", help="join a remote center")
-    p.add_argument("--agent-id", type=int, help="agent id when connecting")
+def _add_timeout(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=float, default=federation.DEFAULT_TIMEOUT,
                    help="per-round protocol timeout in seconds")
 
@@ -424,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a scenario and write trace files")
     _add_common(p)
-    _add_net(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="run a grid of values with replicates")
@@ -445,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="step-size region and iteration bounds")
     _add_common(p)
-    p.add_argument("--constants", choices=("estimated", "explicit"), default="estimated")
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--w-radius", type=float, default=1.0)
     for name in CONSTANTS + ("M", "nu"):
@@ -459,12 +448,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="run as the center for remote agents")
     _add_common(p)
-    _add_net(p)
+    p.add_argument("--listen", metavar="HOST:PORT", required=True,
+                   help="address to accept the agents on")
+    _add_timeout(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("agent", help="join a center as one agent")
-    _add_common(p)
-    _add_net(p)
+    _add_common(p, out=False)
+    p.add_argument("--connect", metavar="HOST:PORT", required=True,
+                   help="address of the center")
+    p.add_argument("--agent-id", type=int, required=True, help="this agent's id")
+    _add_timeout(p)
     p.set_defaults(func=cmd_agent)
 
     return parser

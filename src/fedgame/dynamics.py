@@ -155,13 +155,6 @@ class Trace:
         return self.records[-1]
 
 
-def _clamp(x: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """min(max(x, 0.0), hi) entry by entry.  np.where keeps what Python's
-    min and max return for -0.0 and NaN; np.maximum and np.minimum do not."""
-    y = np.where(0.0 > x, 0.0, x)
-    return np.where(hi < y, hi, y)
-
-
 class LocalPool:
     """Round computations for the agents in ids (default: every agent),
     each using only its own data; see the module docstring for the step
@@ -265,7 +258,7 @@ class LocalPool:
         if phase != "2":
             if derivatives is None:
                 derivatives = strategy_derivatives(self.game, self.ids, s, rows[1])
-            s_next = _clamp(s[self.ids] + self.cfg.gamma * derivatives, self._s_hi)
+            s_next = np.clip(s[self.ids] + self.cfg.gamma * derivatives, 0.0, self._s_hi)
         if phase != "1":
             grads = rows[2]
             if phase == "single" and self.cfg.w_grad_at == "updated":

@@ -129,8 +129,9 @@ class QuadraticAccuracy:
         grads = (2.0 * (self.theta - w)) / denom[:, None]
         return values, dsi, grads
 
-    # The per-agent forms compute only the output they return: every step of
-    # a best response's golden-section refine makes one value call.
+    # The per-agent forms compute only the output they return.  Their callers
+    # are analysis._accuracies' row-by-row fallback, core.utility and the
+    # perfbench oracle hooks; the best-response refine goes through evaluate.
     # np.add.reduce is the reduction ndarray.sum runs, minus its Python wrapper.
     def _denom(self, s: np.ndarray) -> float:
         d = self.sigma0 + float(np.add.reduce(np.asarray(s), axis=None))

@@ -34,7 +34,7 @@ from fedgame.core import (
     evaluate_profile,
     strategy_derivatives,
 )
-from fedgame.dynamics import AgentWorker, LocalPool, RunConfig, _clamp, run_dynamic
+from fedgame.dynamics import AgentWorker, LocalPool, RunConfig, run_dynamic
 from fedgame.models import (
     CostModel,
     EmpiricalAccuracy,
@@ -385,22 +385,6 @@ def test_updated_profile_gradient_evaluates_only_the_agents_that_moved(s, moved)
         [(idx, S)] = calls
         assert idx.tolist() == moved and S.shape == (1, game.n)
         assert same(S, moved_profiles(s, moved, s_next[moved]))
-
-
-EDGE_FLOATS = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, 2.0, np.nextafter(2.0, 3.0)]),
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(xs=st.lists(st.tuples(EDGE_FLOATS, st.sampled_from([1.0, 2.0, 1e-300, 40.0])),
-                   min_size=1, max_size=30))
-def test_clamp_equals_python_min_max(xs):
-    x = np.array([v for v, _ in xs])
-    hi = np.array([h for _, h in xs])
-    expected = [min(max(v, 0.0), h) for v, h in xs]
-    assert same(_clamp(x, hi), expected)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,16 @@ def test_run_bad_override_is_validation_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def usage_error(argv, capsys) -> str:
+    """Run argv, which argparse must reject, and return its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fedgame")
+    return err
+
+
 @pytest.mark.parametrize("argv, message", [
     # argparse reads the negative value as an option, so --s has no argument
     (("certify", "--config", "quad5", "--w", "0,0,0", "--s", "-1e-300,1,1,1,1"),
@@ -84,12 +94,7 @@ def test_run_bad_override_is_validation_error(tmp_path, capsys):
     (("nope",), "fedgame: error: argument command: invalid choice: 'nope'"),
 ], ids=["negative-value-as-option", "unknown-command"])
 def test_a_usage_error_exits_as_a_validation_error(argv, message, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(*argv)
-    err = capsys.readouterr().err
-    assert exc.value.code == 1
-    assert err.startswith("usage: fedgame")
-    assert message in err
+    assert message in usage_error(argv, capsys)
 
 
 def test_help_exits_0(capsys):
@@ -112,25 +117,45 @@ def test_an_empirical_instance_too_large_to_allocate_is_a_validation_error(tmp_p
 
 
 def test_run_connect_needs_agent_id(capsys):
-    code = run_cli("run", "--config", "example1-upbred", "--connect", "127.0.0.1:1")
-    assert code == 1
-    assert "--agent-id" in capsys.readouterr().err
+    # joining a center is the agent command's, which requires an id
+    err = usage_error(("agent", "--config", "example1-upbred", "--connect", "127.0.0.1:1"),
+                      capsys)
+    assert err.endswith("fedgame agent: error: the following arguments are required: "
+                        "--agent-id\n")
+    err = usage_error(("run", "--config", "example1-upbred", "--connect", "127.0.0.1:1"),
+                      capsys)
+    assert err.endswith("fedgame: error: unrecognized arguments: --connect 127.0.0.1:1\n")
 
 
 def test_run_bad_hostport(capsys):
-    code = run_cli("run", "--config", "example1-upbred", "--listen", "9999")
-    assert code == 1
-    capsys.readouterr()
+    for argv in (("serve", "--listen", "9999"), ("agent", "--connect", "9999", "--agent-id", "0")):
+        assert run_cli(*argv, "--config", "example1-upbred") == 1
+        assert capsys.readouterr().err == "error: expected host:port, got '9999'\n"
 
 
 def test_serve_and_agent_require_endpoints(capsys):
-    assert run_cli("serve", "--config", "example1-upbred") == 1
-    assert run_cli("agent", "--config", "example1-upbred") == 1
-    assert (
-        run_cli("agent", "--config", "example1-upbred", "--connect", "127.0.0.1:1")
-        == 1
-    )
-    capsys.readouterr()
+    err = usage_error(("serve", "--config", "example1-upbred"), capsys)
+    assert err.endswith("fedgame serve: error: the following arguments are required: "
+                        "--listen\n")
+    err = usage_error(("agent", "--config", "example1-upbred"), capsys)
+    assert err.endswith("fedgame agent: error: the following arguments are required: "
+                        "--connect, --agent-id\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--timeout", "30"),
+    ("agent", "--connect", "127.0.0.1:1", "--agent-id", "0", "--out", "fed"),
+    ("bounds", "--constants", "explicit"),
+    ("bounds", "--constants", "estimated"),
+], ids=["run-timeout", "agent-out", "bounds-explicit", "bounds-estimated"])
+def test_a_removed_flag_is_a_usage_error(argv, capsys):
+    """Each command takes only the flags its role uses: only serve and agent
+    wait on a peer, agent writes nothing, and any constant flag makes
+    bounds' constants explicit.  test_listen_and_connect_are_exclusive
+    covers the endpoint flags."""
+    command, flag, value = argv[0], argv[-2], argv[-1]
+    err = usage_error((command, "--config", "example1-upbred", *argv[1:]), capsys)
+    assert err.endswith(f"fedgame: error: unrecognized arguments: {flag} {value}\n")
 
 
 # at s_max = 1e300, (sigma0 + sum(s)) ** 2 is beyond the float range
@@ -262,20 +287,24 @@ def test_bounds_estimated_quadratic_region_is_empty(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     doc = json.loads(captured.out)
-    assert doc["constants_source"] == "estimated"
+    assert doc["constants_source"] == "estimated"  # no constant flag is given
+    assert doc["constants"] == {k: doc["estimates"][k] for k in doc["constants"]}
     assert doc["feasible_steps"]["empty"] is True
     assert json.loads((tmp_path / "example1-upbred.bounds.json").read_text()) == doc
 
 
+EXPLICIT = ("--lam", "1.1", "--lam-tilde", "1.1", "--L", "1", "--L-tilde", "1",
+            "--P", "0", "--P-tilde", "1")
+
+
 def test_bounds_explicit_constants(capsys):
-    code = run_cli(
-        "bounds", "--config", "example1-2p", "--constants", "explicit",
-        "--lam", "1.1", "--lam-tilde", "1.1", "--L", "1", "--L-tilde", "1",
-        "--P", "0", "--P-tilde", "1",
-    )
+    code = run_cli("bounds", "--config", "example1-2p", *EXPLICIT)
     captured = capsys.readouterr()
     assert code == 0
     doc = json.loads(captured.out)
+    assert doc["constants_source"] == "explicit" and "estimates" not in doc
+    assert doc["constants"] == {"lambda": 1.1, "lambda_tilde": 1.1, "L": 1.0, "L_tilde": 1.0,
+                                "P": 0.0, "P_tilde": 1.0}
     assert doc["feasible_steps"]["empty"] is False
     assert doc["M"] == pytest.approx(0.2) and doc["nu"] == pytest.approx(0.2)
     assert doc["kappa"] == 500
@@ -284,25 +313,25 @@ def test_bounds_explicit_constants(capsys):
 
 
 def test_bounds_explicit_requires_all_constants(capsys):
-    code = run_cli(
-        "bounds", "--config", "example1-2p", "--constants", "explicit",
-        "--lam", "1.1",
-    )
+    code = run_cli("bounds", "--config", "example1-2p", "--lam", "1.1")
     assert code == 1
     assert capsys.readouterr().err == (
         "error: explicit constants require --lam-tilde, --L, --L-tilde, --P, --P-tilde\n"
     )
 
 
-def test_bounds_rejects_constant_flags_in_estimated_mode(capsys):
-    code = run_cli("bounds", "--config", "example1-2p", "--lam", "1.1")
+@pytest.mark.parametrize("given, missing", [
+    (("--lam-tilde", "1", "--P-tilde", "2"), "--lam, --L, --L-tilde, --P"),
+    (EXPLICIT[:-2], "--P-tilde"),
+    (EXPLICIT[2:], "--lam"),
+], ids=["two", "all-but-last", "all-but-first"])
+def test_bounds_a_partial_set_of_constants_names_the_missing_flags(given, missing, capsys):
+    # any constant flag makes the constants explicit; none is estimated then
+    code = run_cli("bounds", "--config", "example1-2p", *given)
+    captured = capsys.readouterr()
     assert code == 1
-    assert "--constants explicit" in capsys.readouterr().err
-    code = run_cli("bounds", "--config", "example1-2p", "--lam-tilde", "1", "--P-tilde", "2")
-    assert code == 1
-    assert capsys.readouterr().err == (
-        "error: --lam-tilde, --P-tilde require --constants explicit\n"
-    )
+    assert captured.out == ""
+    assert captured.err == f"error: explicit constants require {missing}\n"
 
 
 @pytest.mark.parametrize("config", ["quad5", "empirical-small"])
@@ -431,7 +460,7 @@ def test_bounds_with_an_infinite_initial_norm_is_one_error_line(tmp_path, capsys
 
 def test_bounds_whose_step_cap_overflows_is_one_error_line(capsys):
     code = run_cli(
-        "bounds", "--config", "example1-2p", "--constants", "explicit",
+        "bounds", "--config", "example1-2p",
         "--lam", "1.1", "--lam-tilde", "1.1", "--L", "1e155", "--L-tilde", "1",
         "--P", "0", "--P-tilde", "1",
     )
@@ -583,7 +612,7 @@ def test_tcp_run_matches_local(tmp_path):
     assert run_cli("run", "--config", "example1-upbred", "--out", str(local_dir)) == 0
 
     center = subprocess.Popen(
-        [sys.executable, "-m", "fedgame", "run", "--config", "example1-upbred",
+        [sys.executable, "-m", "fedgame", "serve", "--config", "example1-upbred",
          "--listen", "127.0.0.1:0", "--out", str(fed_dir), "--timeout", "30"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=src_env(),
     )
@@ -639,11 +668,15 @@ def test_module_entry_point():
         assert command in proc.stdout
 
 
-@pytest.mark.parametrize("command", ["run", "serve", "agent"])
-def test_listen_and_connect_are_exclusive(command, capsys):
-    code = run_cli(
+@pytest.mark.parametrize("command, rejected", [
+    ("run", "--listen 127.0.0.1:0 --connect 127.0.0.1:1 --agent-id 0"),
+    ("serve", "--connect 127.0.0.1:1 --agent-id 0"),
+    ("agent", "--listen 127.0.0.1:0"),
+], ids=["run", "serve", "agent"])
+def test_listen_and_connect_are_exclusive(command, rejected, capsys):
+    # serve listens and agent connects; run does neither
+    err = usage_error((
         command, "--config", "example1-upbred",
         "--listen", "127.0.0.1:0", "--connect", "127.0.0.1:1", "--agent-id", "0",
-    )
-    assert code == 1
-    assert "--listen and --connect" in capsys.readouterr().err
+    ), capsys)
+    assert err.endswith(f"fedgame: error: unrecognized arguments: {rejected}\n")
