@@ -86,8 +86,8 @@ def _parse_hostport(value: str) -> tuple[str, int]:
 
 def _summary_line(trace) -> str:
     msg = f"outcome={trace.outcome}"
-    if trace.records:
-        final = trace.final
+    final = trace.final
+    if final is not None:
         msg += (
             f" rounds={final.t} "
             f"welfare={final.welfare!r} g_norm={final.g_norm!r} gt_norm={final.gt_norm!r}"
@@ -97,26 +97,34 @@ def _summary_line(trace) -> str:
     return msg
 
 
-def _write_run(args, built: BuiltScenario, text: str, stem: str, trace) -> int:
-    """Write a run's trace CSV and manifest and print its summary."""
-    files = {}  # a run that fails before its first round record has no trace
-    if trace.records:  # both files are rendered before either is written
-        out = args.out or built.cfg.out_dir
-        manifest = traceio.run_manifest(trace, text, extra={"algorithm": built.algorithm})
-        files = {os.path.join(out, f"{stem}.csv"): traceio.trace_csv_text(trace),
-                 os.path.join(out, f"{stem}.json"): traceio.document_text(manifest, "run manifest")}
-    for path, content in files.items():
-        traceio.write_file(path, content)
+def _write_run(args, built: BuiltScenario, text: str, stem: str, run) -> int:
+    """Run run(sink) -> trace with each round record streamed into the trace
+    CSV, then write the manifest and print the summary.  The trace keeps
+    only its final record, so memory does not grow with the round count.
+    A run that fails before its first record writes no file, and the CSV
+    is renamed into place only after the manifest has been rendered, so
+    an exception before that leaves no file either."""
+    out = args.out or built.cfg.out_dir
+    csv_path, json_path = (os.path.join(out, f"{stem}.{ext}") for ext in ("csv", "json"))
+    with traceio.trace_csv_sink(csv_path) as sink:
+        trace = run(sink)
+        written = [] if trace.final is None else [csv_path, json_path]
+        if written:
+            manifest = traceio.run_manifest(trace, text, extra={"algorithm": built.algorithm})
+            manifest_text = traceio.document_text(manifest, "run manifest")
+    if written:
+        traceio.write_file(json_path, manifest_text)
     print(_summary_line(trace))
-    for path in files:
+    for path in written:
         print(f"wrote {path}")
     return EXIT_OK if trace.outcome != "Error" else EXIT_RUNTIME
 
 
 def cmd_run(args) -> int:
     built, text, stem = _built(args)
-    trace = run_dynamic(built.game, built.run, built.algorithm, built.w0, built.s0)
-    return _write_run(args, built, text, stem, trace)
+    return _write_run(args, built, text, stem, lambda sink: run_dynamic(
+        built.game, built.run, built.algorithm, built.w0, built.s0, sink=sink,
+    ))
 
 
 def cmd_serve(args) -> int:
@@ -131,11 +139,10 @@ def cmd_serve(args) -> int:
         channels = federation.accept_agents(listener, built.game.n, args.timeout)
     finally:
         listener.close()
-    trace = federation.serve_center(
+    return _write_run(args, built, text, stem, lambda sink: federation.serve_center(
         built.game, built.run, built.algorithm, channels,
-        built.w0, built.s0, timeout=args.timeout,
-    )
-    return _write_run(args, built, text, stem, trace)
+        built.w0, built.s0, timeout=args.timeout, sink=sink,
+    ))
 
 
 def cmd_agent(args) -> int:
@@ -186,10 +193,11 @@ def cmd_sweep(args) -> int:
                 trace = run_dynamic(
                     built.game, built.run, built.algorithm,
                     built.w0, built.s0, strict=False,
+                    sink=lambda rec: None,  # a row reads only the final record
                 )
                 outcome = trace.outcome
-                if trace.records:
-                    final = trace.final
+                final = trace.final
+                if final is not None:
                     welfare = repr(final.welfare)
                     total_s = repr(float(np.sum(final.s)))
                     rounds = str(final.t)

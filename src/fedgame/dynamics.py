@@ -24,19 +24,20 @@ step all read.  A pool object hides where agents live.  Its contract is
 
 with rows = evaluate_profile(g, w, s) and derivatives = strategy_derivatives
 at rows, both of which the round record has already computed, and the
-replies in id order: s_next, shape (n,), the next contributions, and grads,
-shape (n, m), the agents' accuracy gradients in w; a part the phase does
-not move is None.  LocalPool steps a set of agents in process, every agent
-by default, and reuses what it is given: the analytic step the derivatives
-and the gradients, the empirical step the gradients and the test losses the
-empirical family appends; it clamps s_next to [0, s_max] and takes an
-updated-profile gradient there, re-evaluating only the agents whose
-contribution changed and keeping the given gradient rows of the rest, which
-have the same bits.  A remote agent runs an AgentWorker, the
-LocalPool of its one id, which is given neither and evaluates its own row
-and derivative; the federation module's RemotePool passes on the agents'
-replies as reported, in the same arrays, and ignores rows and derivatives.
-The round loop clamps s_next either way.
+replies in id order: s_next, shape (n,), the next contributions, inside
+[0, s_max], and grads, shape (n, m), the agents' accuracy gradients in w;
+a part the phase does not move is None.  LocalPool steps a set of agents
+in process, every agent by default, and reuses what it is given: the
+analytic step the derivatives and the gradients, the empirical step the
+gradients and the test losses the empirical family appends; it clamps
+s_next to [0, s_max] and takes an updated-profile gradient there,
+re-evaluating only the agents whose contribution changed and keeping the
+given gradient rows of the rest, which have the same bits.  A remote agent
+runs an AgentWorker, the LocalPool of its one id, which is given neither
+and evaluates its own row and derivative; the federation module's
+RemotePool passes on the agents' replies as reported, in the same arrays,
+except that it clamps s_next, whose entries come from other processes, and
+ignores rows and derivatives.  The round loop takes s_next as it is.
 """
 
 from __future__ import annotations
@@ -144,15 +145,18 @@ class RoundRecord:
 
 @dataclass
 class Trace:
+    """A run's outcome and round records.  records holds every record, or
+    none when the run handed each to a sink instead; final (the last record)
+    and rounds_recorded are set either way, None and 0 when no round was
+    recorded."""
+
     config: RunConfig
     instance: dict
     records: list[RoundRecord]
     outcome: str  # "Converged", "MaxRounds" or "Error"
     error: str | None = None
-
-    @property
-    def final(self) -> RoundRecord:
-        return self.records[-1]
+    final: RoundRecord | None = None
+    rounds_recorded: int = 0
 
 
 class LocalPool:
@@ -362,8 +366,8 @@ class Phase:
     are asked to compute, which also fixes what moves: the pool's
     step(t, sent, w, s, rows, derivatives) returns (s_next, grads), with
     s_next None for "2" and grads None for "1", and "single" moves both.
-    s becomes clamp_profile(s_next) and w moves by eta times the mean of
-    the grads rows, summed in id order.  The round's state is a _Round:
+    s becomes s_next and w moves by eta times the mean of the grads rows,
+    summed in id order.  The round's state is a _Round:
     its rows and strategy derivatives are computed once and read by the
     handover, the record and the step alike.  Each round of the stage, in
     this order:
@@ -440,11 +444,21 @@ def _schedule(g: GameInstance, cfg: RunConfig, algorithm: str, s0: np.ndarray) -
 
 
 def _run_phases(
-    g: GameInstance, cfg: RunConfig, phases: Sequence[Phase], w: np.ndarray, s: np.ndarray, pool
+    g: GameInstance,
+    cfg: RunConfig,
+    phases: Sequence[Phase],
+    w: np.ndarray,
+    s: np.ndarray,
+    pool,
+    sink: Callable[[RoundRecord], None] | None = None,
 ) -> Trace:
     """The one round loop.  t counts rounds across stages; a stage's cap
-    counts only the updates made within it."""
+    counts only the updates made within it.  Each record goes to sink when
+    one is given, else to the trace's records; the loop itself keeps only
+    the last."""
     records: list[RoundRecord] = []
+    keep = records.append if sink is None else sink
+    final, count = None, 0
     outcome, err = "MaxRounds", None
     t = 0
     rnd = None  # the current (w, s) as a _Round, built once per round
@@ -462,7 +476,8 @@ def _run_phases(
                         s = s_next
                         break
                 rec = rnd.record(t, ph.label)
-                records.append(rec)
+                keep(rec)
+                final, count = rec, count + 1
                 if ph.converged is not None and ph.converged(rec):
                     outcome = "Converged"
                     break
@@ -475,7 +490,6 @@ def _run_phases(
                     )
                 s_next, grads = pool.step(t, ph.sent, w, s, rnd.rows, rnd.derivatives())
                 if ph.sent != "2":
-                    s_next = clamp_profile(s_next, g)
                     if ph.lagging is not None and s_next.tobytes() == s.tobytes():
                         raise NumericError(
                             f"contribution phase stalled at a fixed point; {ph.lagging(rnd)}"
@@ -491,7 +505,7 @@ def _run_phases(
     except (NumericError, ModelEvalError, FederationError) as exc:
         outcome, err = "Error", f"round {t}: {exc}"
     instance = {**game_manifest(g), "digest": instance_digest(g)}
-    return Trace(cfg, instance, records, outcome, err)
+    return Trace(cfg, instance, records, outcome, err, final, count)
 
 
 def run_dynamic(
@@ -502,8 +516,12 @@ def run_dynamic(
     s0: np.ndarray | None = None,
     pool=None,
     strict: bool = True,
+    sink: Callable[[RoundRecord], None] | None = None,
 ) -> Trace:
     """Run one of ALGORITHMS from (w0, s0) and return its trace.
+
+    sink, when given, receives each round record as it is made, and the
+    trace keeps none of them but the last (see Trace).
 
     2p-upbred requires a linear transfer rule.  With strict=True the transfer
     level must exceed every agent's marginal cost at the ceiling, which
@@ -530,7 +548,7 @@ def run_dynamic(
     else:
         w, s = _init_state(g, w0, s0)
     pool = pool if pool is not None else LocalPool(g, cfg)
-    return _run_phases(g, cfg, _schedule(g, cfg, algorithm, s), w, s, pool)
+    return _run_phases(g, cfg, _schedule(g, cfg, algorithm, s), w, s, pool, sink)
 
 
 def empirical_strategy_update(

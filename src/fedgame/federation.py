@@ -35,7 +35,7 @@ from math import isfinite
 
 import numpy as np
 
-from .core import ConfigError, FederationError, GameError, GameInstance
+from .core import ConfigError, FederationError, GameError, GameInstance, clamp_profile
 from .dynamics import AgentWorker, RunConfig, run_dynamic
 from .traceio import canonical_json, instance_digest
 
@@ -209,7 +209,8 @@ class RemotePool:
     a channel that closes or fails, and an error frame from the peer.
     handshake() accepts one hello per channel; step() broadcasts (w, s),
     holds the round barrier until every agent's report for round t arrived,
-    and returns the reports as the pool contract's (s_next, grads) arrays.
+    and returns the reports as the pool contract's (s_next, grads) arrays,
+    with s_next clamped to the box.
     """
 
     def __init__(
@@ -382,6 +383,8 @@ class RemotePool:
             elif d_raw is not None:
                 raise FederationError(f"agent {aid}: unexpected gradient in phase 1")
             got.add(aid)
+        if s_next is not None:
+            s_next = clamp_profile(s_next, self.game)
         return s_next, grads
 
     def close(self, ok: bool = True) -> None:
@@ -407,16 +410,18 @@ def serve_center(
     w0: np.ndarray | None = None,
     s0: np.ndarray | None = None,
     timeout: float = DEFAULT_TIMEOUT,
+    sink=None,
 ):
     """Run the selected dynamic with remote agents; returns the Trace.
+    sink, when given, receives each round record, as in run_dynamic.
 
     The closing bye tells the agents the run was aborted when it ended in
-    an Error outcome.
+    an Error outcome or raised, a failing sink included.
     """
     pool = RemotePool(g, cfg, algorithm, channels, timeout)
     try:
         pool.handshake()
-        trace = run_dynamic(g, cfg, algorithm, w0=w0, s0=s0, pool=pool)
+        trace = run_dynamic(g, cfg, algorithm, w0=w0, s0=s0, pool=pool, sink=sink)
     except BaseException:
         pool.close(ok=False)
         raise
@@ -576,8 +581,10 @@ def connect_agent(
     notify=None,
 ) -> int:
     """run_agent over TCP; timeout bounds the connect and every wait for the
-    center."""
+    center.  An id or a run config the agent would reject fails before the
+    connection is made, so it does not use up one of the center's."""
     check_timeout(timeout)
+    AgentWorker(g, agent_id, cfg)
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
     except OSError as exc:

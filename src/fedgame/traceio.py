@@ -14,7 +14,9 @@ import hashlib
 import io
 import json
 import os
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -43,10 +45,12 @@ def table_csv_text(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def write_file(path, text: str) -> None:
-    """Write text to path whole or not at all, creating its directory: a
-    temporary file next to path replaces it in one rename, or is removed.
-    There is no fsync, so a power loss can still lose the new bytes."""
+@contextmanager
+def _replacing(path) -> Iterator:
+    """An open text file that replaces path in one rename when the block
+    ends, or is removed when the block raises; path's directory is created
+    first.  There is no fsync, so a power loss can still lose the new
+    bytes."""
     path = os.fspath(path)
     directory = os.path.dirname(path)
     if directory:
@@ -55,11 +59,18 @@ def write_file(path, text: str) -> None:
     fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_file(path, text: str) -> None:
+    """Write text to path whole or not at all, creating its directory: a
+    temporary file next to path replaces it in one rename, or is removed."""
+    with _replacing(path) as fh:
+        fh.write(text)
 
 
 def fmt_float(x: float) -> str:
@@ -100,24 +111,51 @@ def _records(trace) -> list:
     return trace.records
 
 
+def _trace_row(rec) -> str:
+    """One record's CSV line, "\n"-terminated.  No field needs quoting:
+    column names, phase labels and float reprs hold no comma, quote or line
+    break, so the fields are joined as they are."""
+    floats = [*rec.s.tolist(), *rec.w.tolist(), *rec.utilities.tolist(), *rec.payments.tolist()]
+    scalars = (rec.welfare, rec.g_norm, rec.gt_norm)
+    return ",".join([str(rec.t), rec.phase, *map(repr, floats), *map(fmt_float, scalars)]) + "\n"
+
+
+def _trace_header(rec) -> str:
+    return ",".join(trace_columns(len(rec.s), len(rec.w))) + "\n"
+
+
 def trace_csv_text(trace) -> str:
-    """Render a trace as CSV, one row per recorded round.  No field needs
-    quoting: column names, phase labels and float reprs hold no comma,
-    quote or line break, so the fields are joined as they are."""
+    """Render a trace as CSV, one row per recorded round."""
     records = _records(trace)
-    n, m = len(records[0].s), len(records[0].w)
-    lines = [",".join(trace_columns(n, m))]
-    for rec in records:
-        floats = [*rec.s.tolist(), *rec.w.tolist(), *rec.utilities.tolist(), *rec.payments.tolist()]
-        scalars = (rec.welfare, rec.g_norm, rec.gt_norm)
-        fields = [str(rec.t), rec.phase, *map(repr, floats), *map(fmt_float, scalars)]
-        lines.append(",".join(fields))
-    lines.append("")
-    return "\n".join(lines)
+    return "".join([_trace_header(records[0]), *map(_trace_row, records)])
 
 
 def write_trace_csv(trace, path) -> None:
-    write_file(path, trace_csv_text(trace))
+    """Write trace_csv_text(trace) to path as write_file does, one row at a
+    time, so the whole text is never held."""
+    with trace_csv_sink(path) as sink:
+        for rec in _records(trace):
+            sink(rec)
+
+
+@contextmanager
+def trace_csv_sink(path) -> Iterator:
+    """A record sink for run_dynamic that streams each record's CSV row,
+    the header first, into the file that write_file's rule puts at path
+    when the block ends.  The file is opened at the first record, so a block
+    that records none writes nothing; an exception out of the block removes
+    what was streamed and leaves any file at path as it was."""
+    with ExitStack() as stack:
+        fh = None
+
+        def sink(rec) -> None:
+            nonlocal fh
+            if fh is None:
+                fh = stack.enter_context(_replacing(path))
+                fh.write(_trace_header(rec))
+            fh.write(_trace_row(rec))
+
+        yield sink
 
 
 @dataclass
@@ -170,14 +208,18 @@ def read_trace_csv(path) -> TraceTable:
 
 
 def run_manifest(trace, config_text: str | None = None, extra: dict | None = None) -> dict:
-    """Reproducibility record for one finished run."""
-    final = _records(trace)[-1]
+    """Reproducibility record for one finished run; it reads the trace's
+    final record and count only, so it serves a run whose records went to a
+    sink."""
+    final = trace.final
+    if final is None:
+        raise ConfigError("cannot serialize an empty trace")
     info = {
         "instance": trace.instance,
         "run": asdict(trace.config),
         "outcome": trace.outcome,
         "error": trace.error,
-        "rounds_recorded": len(trace.records),
+        "rounds_recorded": trace.rounds_recorded,
         "final": {
             "t": final.t,
             "phase": final.phase,

@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -12,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fedgame import analysis, cli, traceio
+from fedgame import analysis, cli, dynamics, traceio
 from fedgame.cli import main
 from fedgame.traceio import read_trace_csv
 
@@ -540,6 +541,80 @@ def test_a_document_that_is_not_strict_json_is_one_error_line(
     assert captured.err.startswith(f"error: {what} is not strict JSON: ")
     assert captured.err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []  # the run's trace CSV included
+
+
+def test_a_run_that_raises_after_streaming_rows_keeps_the_old_files(
+    tmp_path, capsys, monkeypatch
+):
+    """run streams each round's row into a temporary file as it is
+    recorded; an exception after rows have been streamed leaves the files
+    of the previous run as they were, and no temporary file."""
+    out = str(tmp_path)
+    assert run_cli("run", "--config", "quad5", "--out", out) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    real, streaming = dynamics.LocalPool.step, []
+
+    def step(self, t, *args):
+        if t == 5:
+            streaming.extend(p.name for p in tmp_path.iterdir() if p.suffix == ".tmp")
+            raise OSError(errno.EIO, "Input/output error")
+        return real(self, t, *args)
+
+    monkeypatch.setattr(dynamics.LocalPool, "step", step)
+    assert run_cli("run", "--config", "quad5", "--seed", "8", "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 5] Input/output error\n"
+    assert len(streaming) == 1 and streaming[0].startswith("quad5.csv.")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def peak_rss_mb(*argv) -> float:
+    """Peak resident set of `python -m fedgame *argv`, as read by a parent
+    process whose one child it is."""
+    probe = (
+        "import resource, subprocess, sys; "
+        "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, sys.executable, "-m", "fedgame", *argv],
+        capture_output=True, text=True, env=src_env(), timeout=120, check=True,
+    )
+    return int(proc.stdout) / 1024.0  # ru_maxrss is in KiB on Linux
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_run_memory_does_not_grow_with_the_round_count(tmp_path):
+    """run keeps no round record it has written: ten times the rounds
+    (2,061 and 20,061 records, to MaxRounds) peak within 5 MB."""
+    peaks = {}
+    for rounds in (2000, 20000):
+        out = tmp_path / str(rounds)
+        peaks[rounds] = peak_rss_mb("run", "--config", "quad5", "--set", "run.eps=1e-300",
+                                    "--set", f"run.rounds={rounds}", "--out", str(out))
+        assert read_trace_csv(out / "quad5.csv").rounds == rounds + 61
+    assert peaks[20000] - peaks[2000] <= 5.0, peaks
+
+
+def test_agent_checks_its_id_before_it_connects(capsys):
+    """An agent id outside the scenario is a validation error raised before
+    the connection is made: it takes none of a listening center's
+    connections, and with nothing listening it is still the id error."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+    argv = ("agent", "--config", "example1-upbred", "--connect", f"127.0.0.1:{port}",
+            "--agent-id", "5", "--timeout", "2")
+    try:
+        assert run_cli(*argv) == 1
+        listener.settimeout(0.2)
+        with pytest.raises(TimeoutError):
+            listener.accept()
+    finally:
+        listener.close()
+    assert run_cli(*argv) == 1  # the port is closed now
+    assert capsys.readouterr().err == "error: agent id 5 out of range\n" * 2
 
 
 def test_diagnose_reports_ratios_and_final_table(tmp_path, capsys):

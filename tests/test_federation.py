@@ -296,6 +296,21 @@ def test_step_drops_stale_reports_and_keeps_waiting(example_game, pipe):
         pool.close(ok=False)
 
 
+def test_step_clamps_reports_outside_the_box(example_game, pipe):
+    """Reports come from other processes, so the remote pool clamps them to
+    [0, s_max] as the pool contract requires; the round loop does not."""
+    pool, agents = manual_pool(pipe, example_game, timeout=2.0)
+    try:
+        complete_handshake(pool, agents, example_game)
+        for aid, s_i in enumerate((9.0, -1.0)):
+            send_frame(agents[aid], "report",
+                       {"run_id": pool.run_id, "t": 0, "agent_id": aid, "s_next": s_i})
+        s_next, _ = pool.step(0, "1", np.zeros(2), np.zeros(2))
+        assert s_next.tolist() == [5.0, 0.0]
+    finally:
+        pool.close(ok=False)
+
+
 def test_step_rejects_misclaimed_identity(example_game, pipe):
     pool, agents = manual_pool(pipe, example_game, timeout=1.0)
     try:

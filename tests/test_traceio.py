@@ -1,15 +1,20 @@
 """Digest stability, trace CSV round trips, run manifests."""
 
+import importlib
 import json
+import os
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedgame.config import build_scenario, parse_scenario
 from fedgame.core import ConfigError, PaymentRule
 from fedgame.dynamics import RunConfig, Trace, run_dynamic
+from fedgame.scenarios import builtin_names, builtin_text
 from fedgame.traceio import (
     fmt_float,
     game_manifest,
@@ -17,12 +22,15 @@ from fedgame.traceio import (
     read_trace_csv,
     run_manifest,
     trace_columns,
+    trace_csv_sink,
     trace_csv_text,
     write_run_manifest,
     write_trace_csv,
 )
 
 from conftest import quadratic_game
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def small_trace(example_game):
@@ -97,6 +105,64 @@ def test_empty_trace_rejected(example_game, tmp_path):
         with pytest.raises(ConfigError, match="^cannot serialize an empty trace$"):
             write(empty, path)
         assert not path.exists()  # serialized before the file is opened
+
+
+@pytest.mark.parametrize("name", [*builtin_names(), "quad-n200"])
+def test_streamed_trace_is_the_rendered_text(tmp_path, monkeypatch, name):
+    """write_trace_csv and the CLI's record sink stream the bytes that
+    trace_csv_text renders, on every bundled scenario and on the
+    benchmark's n = 200 scenario; the sink's trace keeps no record but its
+    final one."""
+    if name == "quad-n200":
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        text = importlib.import_module("workloads").quad_config_text(0)
+    else:
+        text = builtin_text(name)
+    b = build_scenario(parse_scenario(text))
+    trace = run_dynamic(b.game, b.run, b.algorithm, b.w0, b.s0)
+    expected = trace_csv_text(trace).encode()
+    write_trace_csv(trace, tmp_path / "written.csv")
+    assert (tmp_path / "written.csv").read_bytes() == expected
+    with trace_csv_sink(tmp_path / "streamed.csv") as sink:
+        streamed = run_dynamic(b.game, b.run, b.algorithm, b.w0, b.s0, sink=sink)
+        assert not (tmp_path / "streamed.csv").exists()  # renamed into place at the end
+    assert (tmp_path / "streamed.csv").read_bytes() == expected
+    assert streamed.records == []
+    assert streamed.rounds_recorded == len(trace.records)
+    assert streamed.final.t == trace.final.t
+    assert run_manifest(streamed) == run_manifest(trace)
+    assert sorted(os.listdir(tmp_path)) == ["streamed.csv", "written.csv"]
+
+
+class Boom(Exception):
+    pass
+
+
+def test_a_stream_that_fails_midway_leaves_the_old_file(tmp_path, example_game):
+    """An exception after rows have been streamed, from the block that
+    feeds the sink or from a record that cannot be rendered, leaves no file
+    and no temporary file, and a file already at the path keeps its bytes."""
+    trace = small_trace(example_game)
+    unrenderable = Trace(trace.config, {}, [*trace.records, None], "MaxRounds")
+    fresh, old = tmp_path / "new" / "trace.csv", tmp_path / "old.csv"
+    old.write_bytes(b"old bytes\n")
+    for path in (fresh, old):
+        with pytest.raises(Boom):
+            with trace_csv_sink(path) as sink:
+                for rec in trace.records:
+                    sink(rec)
+                raise Boom
+        with pytest.raises(AttributeError):
+            write_trace_csv(unrenderable, path)
+    assert sorted(os.listdir(tmp_path)) == ["new", "old.csv"]
+    assert os.listdir(tmp_path / "new") == []
+    assert old.read_bytes() == b"old bytes\n"
+
+
+def test_a_sink_that_records_nothing_writes_nothing(tmp_path):
+    with trace_csv_sink(tmp_path / "sub" / "trace.csv"):
+        pass
+    assert os.listdir(tmp_path) == []
 
 
 def test_read_trace_rejects_foreign_header(tmp_path):
